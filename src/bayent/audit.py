@@ -19,13 +19,14 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .formula import And, Atom, Bottom, Not, Or, SymbolTable, Top, render, truth_mask
-from .worlds import WorldModel
+from .worlds import WorldModel, exact
 from .entail import (
     UNIVERSAL,
     bayes_entails,
     check_threshold,
     classical_entails,
     map_entails,
+    map_mask,
 )
 
 PROPERTIES = (
@@ -87,14 +88,12 @@ def classical_base(table):
 
 def support_base(model):
     """Support-relative monotonic base: threshold-1 entailment over the model."""
-    table = model.table
-    support = model.support_mask()
 
     def base(delta, alpha):
         return bayes_entails(model, delta, alpha, 1).holds
 
     def mask_base(dmask, amask):
-        return dmask & support & ~amask == 0
+        return dmask & model.support_mask & ~amask == 0
 
     return base, mask_base
 
@@ -102,15 +101,15 @@ def support_base(model):
 def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
     """Oracle for the threshold entailment of a world model."""
     w = check_threshold(omega)
+    p, q = w.numerator, w.denominator
 
     def query(delta, alpha):
         return bayes_entails(model, delta, alpha, w).holds
 
     def mask_query(dmask, amask):
-        denom = model.mass(dmask)
-        if denom == 0:
-            return True
-        return model.mass(dmask & amask) >= w * denom
+        # p(alpha | delta) >= w = p/q, cross-multiplied over the integer weights
+        kept = model.weight(dmask)
+        return kept == 0 or model.weight(dmask & amask) * q >= p * kept
 
     def trace(delta, alpha):
         denom = model.prob(delta)
@@ -139,21 +138,9 @@ def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
         return map_entails(model, delta, alpha, mode).holds
 
     def mask_query(dmask, amask):
-        if model.mass(dmask) == 0:
+        winners = map_mask(model, dmask)
+        if winners == 0:
             return True
-        best = None
-        winners = 0
-        m = dmask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            p = model.probs[i]
-            if best is None or p > best:
-                best = p
-                winners = low
-            elif p == best:
-                winners |= low
         hit = winners & amask
         return hit == winners if mode == UNIVERSAL else hit != 0
 
@@ -522,7 +509,7 @@ _AB = SymbolTable(["a", "b"])
 
 
 def _check_open_interval(omega):
-    w = Fraction(omega)
+    w = exact(omega)
     if not Fraction(1, 2) < w < 1:
         raise ValueError(f"threshold {w} must lie strictly between 1/2 and 1")
     return w

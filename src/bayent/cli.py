@@ -199,7 +199,7 @@ def _cmd_simulate(args):
                 "weights": [str(w) for w in belief.weights],
             }
         )
-    verdict = temporal_mod.temporal_entails(model, observations, conclusion, omega)
+    verdict = temporal_mod.belief_verdict(model, belief, conclusion, omega)
     payload = {"steps": steps, "verdict": verdict.to_dict()}
     _emit(payload, args.pretty)
     return EXIT_YES if verdict.holds else EXIT_NO

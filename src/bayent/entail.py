@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import truth_mask
-from .worlds import premise_mask, _indices
+from .worlds import _indices, _mask_of, exact, premise_mask
 
 UNIVERSAL = "universal"
 EXISTENTIAL = "existential"
@@ -20,7 +20,7 @@ EXISTENTIAL = "existential"
 
 def check_threshold(omega):
     """Validate and normalize a threshold to an exact Fraction in [0, 1]."""
-    w = Fraction(omega)
+    w = exact(omega)
     if not 0 <= w <= 1:
         raise ValueError(f"threshold {w} outside [0, 1]")
     return w
@@ -86,30 +86,28 @@ def bayes_entails(model, delta, alpha, omega):
     p = model.mass(dmask & amask) / denom
     if p >= w:
         return Verdict(holds=True, probability=p, vacuous=False)
-    counter_mask = dmask & ~amask & model.support_mask()
-    witnesses = tuple(table.valuation(i) for i in sorted(_indices(counter_mask)))
+    counter_mask = dmask & ~amask & model.support_mask
+    witnesses = tuple(table.valuation(i) for i in _indices(counter_mask))
     return Verdict(holds=False, probability=p, vacuous=False, witnesses=witnesses)
 
 
-def map_set(model, delta):
-    """All maximizers of p(v | delta), or None when p(delta) = 0.
+def map_mask(model, dmask):
+    """Bitmask of the maximizers of p(v | dmask); 0 when dmask has zero mass.
 
-    The posterior maximizers are exactly the maximizers of the
-    unnormalized product [delta true at v] * p(v).
+    A max over the integer weights of the supported valuations in dmask.
     """
-    dmask = premise_mask(delta, model.table)
-    if model.mass(dmask) == 0:
+    weights = model.weights
+    candidates = _indices(dmask & model.support_mask)
+    best = max(map(weights.__getitem__, candidates), default=0)
+    return _mask_of((i for i in candidates if weights[i] == best), len(weights))
+
+
+def map_set(model, delta):
+    """All maximizers of p(v | delta), or None when p(delta) = 0."""
+    winners = map_mask(model, premise_mask(delta, model.table))
+    if winners == 0:
         return None
-    best = None
-    winners = []
-    for i in _indices(dmask):
-        p = model.probs[i]
-        if best is None or p > best:
-            best = p
-            winners = [i]
-        elif p == best:
-            winners.append(i)
-    return {model.table.valuation(i) for i in winners}
+    return {model.table.valuation(i) for i in _indices(winners)}
 
 
 def map_entails(model, delta, alpha, mode=UNIVERSAL):
@@ -127,7 +125,8 @@ def map_entails(model, delta, alpha, mode=UNIVERSAL):
     if maximizers is None:
         return Verdict(holds=True, probability=None, vacuous=True)
     amask = truth_mask(alpha, model.table)
-    hits = sum(1 for v in maximizers if (amask >> v.index) & 1)
+    winners = _mask_of((v.index for v in maximizers), len(model.weights))
+    hits = (winners & amask).bit_count()
     holds = hits == len(maximizers) if mode == UNIVERSAL else hits > 0
     witnesses = tuple(sorted(maximizers, key=lambda v: v.index))
     return Verdict(

@@ -277,36 +277,42 @@ def evaluate(f, v):
 
 
 @lru_cache(maxsize=None)
+def _atom_mask(n, bit):
+    """Mask of the indices in [0, 2^n) whose bit `bit` is set.
+
+    Built by doubling one period of the pattern. Cached per (n, bit), so
+    at most n entries per table size.
+    """
+    half = 1 << bit
+    mask = ((1 << half) - 1) << half
+    for k in range(bit + 1, n):
+        mask |= mask << (1 << k)
+    return mask
+
+
 def truth_mask(f, table):
     """Bitmask of satisfying valuation indices: bit i set iff f holds at index i.
 
-    Cached; formulas and tables are immutable and hashable.
+    Only atom masks are cached; a composite costs a few big-int
+    operations per node.
     """
     full = (1 << table.num_valuations) - 1
     if isinstance(f, Atom):
-        pos = table.position(f.name)
-        mask = 0
-        n = len(table)
-        for i in range(table.num_valuations):
-            if (i >> (n - 1 - pos)) & 1:
-                mask |= 1 << i
-        return mask
+        return _atom_mask(len(table), len(table) - 1 - table.position(f.name))
     if isinstance(f, Top):
         return full
     if isinstance(f, Bottom):
         return 0
     if isinstance(f, Not):
-        return full & ~truth_mask(f.arg, table)
+        return full ^ truth_mask(f.arg, table)
     if isinstance(f, And):
         return truth_mask(f.left, table) & truth_mask(f.right, table)
     if isinstance(f, Or):
         return truth_mask(f.left, table) | truth_mask(f.right, table)
     if isinstance(f, Implies):
-        return (full & ~truth_mask(f.left, table)) | truth_mask(f.right, table)
+        return (full ^ truth_mask(f.left, table)) | truth_mask(f.right, table)
     if isinstance(f, Iff):
-        x = truth_mask(f.left, table)
-        y = truth_mask(f.right, table)
-        return full & ~(x ^ y)
+        return full ^ truth_mask(f.left, table) ^ truth_mask(f.right, table)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -122,7 +122,7 @@ class PreferentialStructure:
         implies p(v_i) >= p(v_j)."""
         if model.table != self.table:
             raise StructureError("structure and world use different symbol tables")
-        return all(model.probs[a] >= model.probs[b] for a, b in self.edges)
+        return all(model.weights[a] >= model.weights[b] for a, b in self.edges)
 
     def is_total(self):
         """True iff every distinct pair of universe elements is comparable."""

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
-from .formula import truth_mask
+from .formula import FormulaError, truth_mask
 from .worlds import (
     WorldError,
     WorldModel,
+    _selector,
+    exact,
     parse_premises,
     parse_rational,
     premise_mask,
@@ -38,7 +41,7 @@ def identity_transition(size):
 
 def sticky_transition(size, epsilon):
     """Stay with probability 1-epsilon, else move uniformly to another state."""
-    eps = Fraction(epsilon)
+    eps = exact(epsilon)
     if not 0 <= eps <= 1:
         raise TemporalError(f"epsilon {eps} outside [0, 1]")
     if size == 1:
@@ -59,14 +62,14 @@ class TemporalModel:
 
     def __init__(self, table, prior, transition):
         size = table.num_valuations
-        prior = tuple(Fraction(p) for p in prior)
+        prior = tuple(exact(p) for p in prior)
         if len(prior) != size:
             raise TemporalError(f"prior needs {size} entries, got {len(prior)}")
         if any(p < 0 for p in prior):
             raise TemporalError("negative prior entry")
         if sum(prior) != 1:
             raise TemporalError(f"prior sums to {sum(prior)}, not 1")
-        rows = tuple(tuple(Fraction(x) for x in row) for row in transition)
+        rows = tuple(tuple(exact(x) for x in row) for row in transition)
         if len(rows) != size or any(len(row) != size for row in rows):
             raise TemporalError(f"transition must be {size}x{size}")
         for r, row in enumerate(rows):
@@ -139,15 +142,16 @@ def temporal_entails(model, observations, alpha, omega):
 
     Vacuously holds when the filtered belief is dead.
     """
+    return belief_verdict(model, run_filter(model, observations), alpha, omega)
+
+
+def belief_verdict(model, belief, alpha, omega):
+    """Threshold verdict on alpha under a filtered belief; vacuous when it is dead."""
     w = check_threshold(omega)
-    belief = run_filter(model, observations)
     if not belief.alive:
         return Verdict(holds=True, probability=None, vacuous=True)
     amask = truth_mask(alpha, model.table)
-    p = sum(
-        (belief.weights[i] for i in range(len(belief.weights)) if (amask >> i) & 1),
-        Fraction(0),
-    )
+    p = sum(compress(belief.weights, _selector(amask)), Fraction(0))
     return Verdict(holds=p >= w, probability=p, vacuous=False)
 
 
@@ -181,7 +185,11 @@ def scenario_from_dict(data):
     if kind == "identity":
         transition = identity_transition(size)
     elif kind == "sticky":
-        transition = sticky_transition(size, parse_rational(transition_spec["epsilon"]))
+        try:
+            epsilon = parse_rational(transition_spec["epsilon"])
+        except (KeyError, WorldError) as exc:
+            raise TemporalError(f"sticky transition needs an 'epsilon': {exc}") from exc
+        transition = sticky_transition(size, epsilon)
     elif kind == "matrix":
         try:
             transition = [
@@ -193,5 +201,8 @@ def scenario_from_dict(data):
         raise TemporalError(f"unknown transition kind {kind!r}")
 
     model = TemporalModel(table, prior.probs, transition)
-    observations = [parse_premises(row, table) for row in observation_rows]
+    try:
+        observations = [parse_premises(row, table) for row in observation_rows]
+    except FormulaError as exc:
+        raise TemporalError(f"bad observation: {exc}") from exc
     return model, observations

@@ -1,22 +1,34 @@
 """Exact probability distributions over valuations and their queries.
 
-All arithmetic is over `fractions.Fraction`; nothing is ever rounded.
-A WorldModel assigns a probability to each of the 2^n valuations of its
-symbol table; queries (joint, conditional, posterior) are computed by
-summing over the satisfying valuations.
+Nothing is ever rounded. A WorldModel stores the probability of each of
+the 2^n valuations of its symbol table as an integer weight over one
+common denominator; queries (joint, conditional, posterior) sum the
+weights of the satisfying valuations and return `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from math import lcm
 
-from .formula import MAX_SYMBOLS, SymbolTable, parse_formula, truth_mask
+from .formula import MAX_SYMBOLS, FormulaError, SymbolTable, parse_formula, truth_mask
 
 UNDEFINED = None  # conditional probability with zero-probability condition
+
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 class WorldError(Exception):
     """Invalid distribution or world file."""
+
+
+def exact(value):
+    """value as a Fraction; a float raises TypeError, since 0.3 is not 3/10."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; give an int, Fraction or 'p/q'")
+    return Fraction(value)
 
 
 def premises(*formulas):
@@ -32,9 +44,34 @@ def premise_mask(formulas, table):
     return mask
 
 
+def _selector(mask):
+    """One byte per index, lowest first: 1 where the bit of mask is set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_SELECT)
+
+
+def _indices(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    digits = bin(mask)[:1:-1]
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
+
+
+def _mask_of(indices, size):
+    """Bitmask of `size` bits with the given indices set; the inverse of _indices."""
+    digits = bytearray(b"0" * size)
+    for i in indices:
+        digits[size - 1 - i] = ord("1")
+    return int(digits, 2)
+
+
 class WorldModel:
     """Distribution p over the valuations of a symbol table.
 
+    p(v_i) = weights[i] / den, den being the least common denominator.
     Immutable after validation. Queries are pure, so a shared model may
     be used concurrently without coordination.
     """
@@ -44,20 +81,27 @@ class WorldModel:
             raise WorldError(
                 f"{len(table)} symbols exceeds the enumeration cap of {MAX_SYMBOLS}"
             )
-        entries = tuple(Fraction(p) for p in probs)
-        if len(entries) != table.num_valuations:
-            raise WorldError(
-                f"need {table.num_valuations} probabilities, got {len(entries)}"
-            )
-        for i, p in enumerate(entries):
-            if p < 0:
+        size = table.num_valuations
+        entries = [exact(p) for p in probs]
+        if len(entries) != size:
+            raise WorldError(f"need {size} probabilities, got {len(entries)}")
+        den = lcm(*(p.denominator for p in entries))
+        weights = tuple(p.numerator * (den // p.denominator) for p in entries)
+        for i, (w, p) in enumerate(zip(weights, entries)):
+            if w < 0:
                 raise WorldError(f"negative probability {p} at valuation index {i}")
-        total = sum(entries)
-        if total != 1:
+        if sum(weights) != den:
+            total = Fraction(sum(weights), den)
             raise WorldError(f"probabilities sum to {total}, off by {1 - total}")
         self.table = table
-        self.probs = entries
-        self._mass_cache = {}
+        self.weights = weights
+        self.den = den
+        self.support_mask = _mask_of(compress(range(size), weights), size)
+
+    @cached_property
+    def probs(self):
+        """The probabilities as Fractions, in valuation index order."""
+        return tuple(Fraction(w, self.den) for w in self.weights)
 
     def __repr__(self):
         return f"WorldModel({self.table!r}, {[str(p) for p in self.probs]})"
@@ -66,26 +110,20 @@ class WorldModel:
         return (
             isinstance(other, WorldModel)
             and self.table == other.table
-            and self.probs == other.probs
+            and (self.den, self.weights) == (other.den, other.weights)
         )
 
     def p(self, v):
         """Probability of a single valuation."""
-        return self.probs[v.index]
+        return Fraction(self.weights[v.index], self.den)
+
+    def weight(self, mask):
+        """Integer weight, over den, of the valuations whose index bits are set."""
+        return sum(compress(self.weights, _selector(mask)))
 
     def mass(self, mask):
         """Total probability of the valuations whose index bits are set in mask."""
-        cached = self._mass_cache.get(mask)
-        if cached is not None:
-            return cached
-        total = Fraction(0)
-        m = mask
-        while m:
-            low = m & -m
-            total += self.probs[low.bit_length() - 1]
-            m ^= low
-        self._mass_cache[mask] = total
-        return total
+        return Fraction(self.weight(mask), self.den)
 
     def models_of(self, delta):
         """Valuations satisfying every premise (all valuations when empty)."""
@@ -110,40 +148,24 @@ class WorldModel:
         UNDEFINED when the premises have zero mass.
         """
         dmask = premise_mask(delta, self.table)
-        denom = self.mass(dmask)
-        if denom == 0:
+        kept = self.weight(dmask)
+        if kept == 0:
             return UNDEFINED
-        probs = [
-            (self.probs[i] / denom if (dmask >> i) & 1 else Fraction(0))
-            for i in range(self.table.num_valuations)
-        ]
+        selector = _selector(dmask).ljust(len(self.weights), b"\0")
+        probs = [Fraction(w * bit, kept) for w, bit in zip(self.weights, selector)]
         return WorldModel(self.table, probs)
 
     def support(self):
         """Valuations with strictly positive probability."""
-        return {
-            self.table.valuation(i)
-            for i, p in enumerate(self.probs)
-            if p > 0
-        }
-
-    def support_mask(self):
-        mask = 0
-        for i, p in enumerate(self.probs):
-            if p > 0:
-                mask |= 1 << i
-        return mask
-
-
-def _indices(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return {self.table.valuation(i) for i in _indices(self.support_mask)}
 
 
 def make_world(table, probs):
-    """Validated WorldModel; probabilities may be any Fraction-convertible."""
+    """Validated WorldModel.
+
+    Probabilities may be ints, Fractions, Decimals or exact rational
+    strings such as '1/3' or '0.25'; floats raise TypeError.
+    """
     return WorldModel(table, probs)
 
 
@@ -183,11 +205,14 @@ def world_from_dict(data):
     for row in rows:
         try:
             v = table.valuation_from_assignment(row["assignment"])
-        except (KeyError, TypeError, ValueError) as exc:
+            prob = row["prob"]
+        except KeyError as exc:
+            raise WorldError(f"world row {row!r} has no {exc} key") from exc
+        except (TypeError, ValueError, FormulaError) as exc:
             raise WorldError(f"bad world row {row!r}: {exc}") from exc
         if probs[v.index] is not None:
             raise WorldError(f"assignment {row['assignment']} appears twice")
-        probs[v.index] = parse_rational(row["prob"])
+        probs[v.index] = parse_rational(prob)
     missing = [i for i, p in enumerate(probs) if p is None]
     if missing:
         first = table.valuation(missing[0]).assignment()

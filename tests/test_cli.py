@@ -58,6 +58,23 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def run_input_error(capsys, *argv):
+    """Run a command that must fail with exit 2 and one line on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def write_json(tmp_path, name, body):
+    path = tmp_path / name
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
 class TestProb:
     def test_joint(self, capsys, world_file):
         code, out = run(capsys, "prob", "--world", world_file, "--premise", "a|~b")
@@ -91,6 +108,21 @@ class TestProb:
             "b",
         )
         assert out == {"probability": None}
+
+
+    def test_world_row_without_prob(self, capsys, tmp_path, table1_world):
+        body = world_to_dict(table1_world)
+        del body["worlds"][2]["prob"]
+        path = write_json(tmp_path, "noprob.json", body)
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
+        assert "'prob'" in line
+
+    def test_world_row_with_unknown_atom(self, capsys, tmp_path, table1_world):
+        body = world_to_dict(table1_world)
+        body["worlds"][0]["assignment"]["z"] = 1
+        path = write_json(tmp_path, "extra.json", body)
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
+        assert "unknown atom 'z'" in line
 
 
 class TestEntail:
@@ -308,6 +340,63 @@ class TestSimulate:
             "1",
         )
         assert out["verdict"]["vacuous"] is True
+
+    def test_sticky_without_epsilon(self, capsys, tmp_path, table1_world):
+        path = write_json(
+            tmp_path,
+            "sticky.json",
+            {
+                "prior": world_to_dict(table1_world),
+                "transition": {"kind": "sticky"},
+                "observations": [["a"]],
+            },
+        )
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
+        )
+        assert "epsilon" in line
+
+    def test_observation_with_unknown_atom(self, capsys, tmp_path, table1_world):
+        path = write_json(
+            tmp_path,
+            "unknown.json",
+            {
+                "prior": world_to_dict(table1_world),
+                "transition": {"kind": "identity"},
+                "observations": [["a | z"]],
+            },
+        )
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
+        )
+        assert "unknown atom 'z'" in line
+
+    def test_filters_each_observation_once(self, capsys, monkeypatch, tmp_path, table1_world):
+        from bayent import temporal
+
+        calls = []
+        step = temporal.filter_step
+
+        def counting_step(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(temporal, "filter_step", counting_step)
+        path = write_json(
+            tmp_path,
+            "three.json",
+            {
+                "prior": world_to_dict(table1_world),
+                "transition": {"kind": "sticky", "epsilon": "1/10"},
+                "observations": [["a | b"], ["b"], []],
+            },
+        )
+        code, out = run(
+            capsys, "simulate", "--scenario", path, "--conclusion", "b", "--omega", "1/2"
+        )
+        assert code == EXIT_YES
+        assert len(out["steps"]) == 3
+        assert len(calls) == 3
 
     def test_malformed_transition_row(self, tmp_path, table1_world):
         path = tmp_path / "rows.json"

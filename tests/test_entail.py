@@ -10,6 +10,7 @@ from bayent import (
     SymbolTable,
     Verdict,
     bayes_entails,
+    bayes_oracle,
     classical_entails,
     evaluate,
     make_world,
@@ -19,6 +20,8 @@ from bayent import (
     random_world,
     uniform_world,
 )
+
+from bayent.entail import check_threshold
 
 from test_formula import formulas, _TABLE
 
@@ -74,6 +77,17 @@ class TestBayes:
         # p(a) lands exactly on the threshold; >= must accept it
         w = monotony_counterexample_world(Fraction(4, 5))
         assert bayes_entails(w, set(), f("a"), Fraction(4, 5)).holds
+
+    def test_float_threshold_rejected(self, table1_world, f):
+        # 0.3 would silently become 5404319552844595/18014398509481984
+        with pytest.raises(TypeError, match="float"):
+            check_threshold(0.3)
+        with pytest.raises(TypeError, match="float"):
+            bayes_entails(table1_world, set(), f("a"), 0.3)
+        with pytest.raises(TypeError, match="float"):
+            bayes_oracle(table1_world, 0.3)
+        with pytest.raises(TypeError, match="float"):
+            monotony_counterexample_world(0.8)
 
 
 class TestMapSet:

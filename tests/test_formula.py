@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from bayent import (
     parse_formula,
     render,
 )
+from bayent.formula import _atom_mask, truth_mask
 
 
 class TestSymbolTable:
@@ -182,3 +184,44 @@ def test_connective_identities(f, g, v):
     assert evaluate(Iff(f, g), v) == evaluate(
         And(Implies(f, g), Implies(g, f)), v
     )
+
+
+# --- truth masks -------------------------------------------------------
+
+
+def _mask_by_evaluation(f, table):
+    return sum(evaluate(f, v) << v.index for v in table.valuations())
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_atom_mask_matches_evaluate(n):
+    table = SymbolTable([f"p{i}" for i in range(n)])
+    for name in table:
+        assert truth_mask(Atom(name), table) == _mask_by_evaluation(Atom(name), table)
+
+
+@given(formulas())
+def test_truth_mask_matches_evaluate(formula):
+    assert truth_mask(formula, _TABLE) == _mask_by_evaluation(formula, _TABLE)
+
+
+def test_twenty_atom_masks_build_in_under_a_second():
+    table = SymbolTable([f"p{i}" for i in range(20)])
+    _atom_mask.cache_clear()
+    start = time.perf_counter()
+    masks = [truth_mask(Atom(name), table) for name in table]
+    assert time.perf_counter() - start < 1
+    assert all(m.bit_count() == 1 << 19 for m in masks)
+
+
+def test_only_atom_masks_are_cached_and_at_most_n_per_table_size():
+    assert not hasattr(truth_mask, "cache_info")
+    _atom_mask.cache_clear()
+    sizes = (3, 4)
+    for n in sizes:
+        table = SymbolTable([f"p{i}" for i in range(n)])
+        f = Atom("p0")
+        for i in range(200):
+            f = (f & Atom(f"p{i % n}")) if i % 2 else (f | ~Atom(f"p{(i * 7) % n}"))
+            truth_mask(f, table)
+    assert _atom_mask.cache_info().currsize <= sum(sizes)

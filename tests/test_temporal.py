@@ -94,6 +94,15 @@ class TestModelValidation:
         with pytest.raises(TemporalError):
             sticky_transition(4, Fraction(3, 2))
 
+    def test_floats_rejected(self, a_table):
+        with pytest.raises(TypeError, match="float"):
+            sticky_transition(4, 0.1)
+        with pytest.raises(TypeError, match="float"):
+            TemporalModel(a_table, [0.5, 0.5], identity_transition(2))
+        model = TemporalModel(a_table, [Fraction(1, 2)] * 2, identity_transition(2))
+        with pytest.raises(TypeError, match="float"):
+            temporal_entails(model, [], parse_formula("a", a_table), 0.5)
+
 
 class TestFilterStep:
     def test_conditioning_kills_false_states(self, identity_model, a_table):

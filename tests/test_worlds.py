@@ -12,6 +12,8 @@ from bayent import (
     WorldModel,
     evaluate,
     make_world,
+    map_oracle,
+    map_set,
     parse_formula,
     parse_rational,
     premises,
@@ -20,6 +22,7 @@ from bayent import (
     world_from_dict,
     world_to_dict,
 )
+from bayent.worlds import premise_mask
 
 from test_formula import formulas, _TABLE
 
@@ -51,6 +54,11 @@ class TestMakeWorld:
     def test_wrong_length(self, ab):
         with pytest.raises(WorldError, match="4"):
             make_world(ab, [1])
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [Fraction(1, 2), 0.5]])
+    def test_floats_rejected(self, probs):
+        with pytest.raises(TypeError, match="float"):
+            make_world(SymbolTable(["a"]), probs)
 
     def test_symbol_cap(self):
         with pytest.raises(WorldError, match="cap"):
@@ -192,3 +200,63 @@ def test_factorization_matches_joint_enumeration(alpha, delta_list, seed, zf):
             term *= evaluate(beta, v)
         expected += term
     assert model.prob(delta | {alpha}) == expected
+
+
+# --- integer kernel against Fraction brute force ------------------------
+
+
+def exact_probs(size):
+    """Probabilities over `size` valuations with mixed denominators and zeros."""
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=0, max_value=1, max_denominator=60),
+    )
+    return (
+        st.lists(entry, min_size=size, max_size=size)
+        .filter(any)
+        .map(lambda raw: [x / sum(raw) for x in raw])
+    )
+
+
+@st.composite
+def worlds_with_masks(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    size = 1 << n
+    probs = draw(exact_probs(size))
+    masks = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=1, max_size=5))
+    return WorldModel(SymbolTable([f"p{i}" for i in range(n)]), probs), probs, masks
+
+
+@given(worlds_with_masks())
+def test_mass_equals_fraction_sum(case):
+    model, probs, masks = case
+    assert model.probs == tuple(probs)
+    for mask in masks:
+        expected = sum((p for i, p in enumerate(probs) if (mask >> i) & 1), Fraction(0))
+        assert model.mass(mask) == expected
+
+
+def _brute_map(probs, dmask):
+    """Indices of the argmax of p over dmask; None when dmask has zero mass."""
+    members = [i for i in range(len(probs)) if (dmask >> i) & 1]
+    if sum(probs[i] for i in members) == 0:
+        return None
+    best = max(probs[i] for i in members)
+    return {i for i in members if probs[i] == best}
+
+
+@given(exact_probs(8), st.lists(formulas(), max_size=2), formulas())
+def test_map_set_and_map_oracle_match_brute_force_argmax(probs, delta_list, alpha):
+    model = WorldModel(_TABLE, probs)
+    delta = frozenset(delta_list)
+    dmask = premise_mask(delta, _TABLE)
+    amask = sum(evaluate(alpha, v) << v.index for v in _TABLE.valuations())
+    expected = _brute_map(probs, dmask)
+
+    found = map_set(model, delta)
+    assert (None if found is None else {v.index for v in found}) == expected
+
+    universal = expected is None or all((amask >> i) & 1 for i in expected)
+    existential = expected is None or any((amask >> i) & 1 for i in expected)
+    assert map_oracle(model, "universal").mask_query(dmask, amask) == universal
+    assert map_oracle(model, "existential").mask_query(dmask, amask) == existential
