@@ -162,13 +162,7 @@ def pref_oracle(structure, base=STRICT):
         return structure.pref_entails(delta, alpha)
 
     def mask_query(dmask, amask):
-        models = [i for i in structure.universe if (dmask >> i) & 1]
-        for i in models:
-            if any(j != i and (j, i) in structure.edges for j in models):
-                continue
-            if not (amask >> i) & 1:
-                return False
-        return True
+        return not structure.maximal_mask(dmask) & ~amask
 
     base_fn, base_mask = classical_base(table)
     return ConsequenceOracle(

@@ -459,6 +459,8 @@ class _Parser:
 
 def parse_formula(text, table=None):
     """Parse text into a Formula, validating atoms against table when given."""
+    if text and not isinstance(text, str):
+        raise FormulaError(f"formula must be a string, not {type(text).__name__}")
     if not text or not text.strip():
         raise SyntaxError_("empty formula", 0)
     parser = _Parser(_tokenize(text), table)

@@ -1,39 +1,57 @@
 """Preferential structures: strict partial orders over valuations.
 
 An edge (v_i, v_j) means v_i is preferred to v_j (the v_i world is the
-more normal one). Structures are stored as explicit edge sets over
-valuation indices and transitively closed at construction; the closure
-report lists any edges that had to be added, so users may write minimal
-Hasse-style input.
+more normal one). The order is kept as one bitset per node: bit j of
+below[i] is set iff v_i is preferred to v_j. Structures are transitively
+closed at construction; the closure report lists any edges that had to
+be added, so users may write minimal Hasse-style input.
 """
 
 from __future__ import annotations
 
 from .formula import truth_mask
-from .worlds import premise_mask
+from .worlds import _indices, _mask_of, premise_mask
 
 
 class StructureError(Exception):
     """Invalid preferential structure or structure file."""
 
 
-def _transitive_closure(edges):
-    closed = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(closed):
-            for y2, z in list(closed):
-                if y2 == y and (x, z) not in closed:
-                    closed.add((x, z))
-                    changed = True
-    return closed
+def _close(below):
+    """Transitively close the rows of below in place; return each row's indices.
+
+    A row is recomputed, ORing in the rows of the indices it holds, when
+    it or one of those rows grew since the previous pass began, so a pass
+    costs at most one OR per closed edge and the paths a row covers at
+    least double per pass. The loop ends after a pass in which nothing
+    grew; every row's last recomputation then changed nothing, so the
+    index lists it read are those of the closed rows.
+    """
+    members = {}
+    recent = sum(1 << i for i in below)
+    while recent:
+        window, fresh = recent, 0
+        for i, row in below.items():
+            if not ((window >> i) & 1 or row & window):
+                continue
+            members[i] = _indices(row)
+            reach = row
+            for j in members[i]:
+                reach |= below.get(j, 0)
+            if reach != row:
+                below[i] = reach
+                window |= 1 << i
+                fresh |= 1 << i
+        recent = fresh
+    return members
 
 
 class PreferentialStructure:
     """Finite strict partial order over a set of valuations.
 
-    Immutable after validation; all queries are pure.
+    below[i] is the bitset of the indices v_i is preferred to; an index
+    with no edge out has no row. Immutable after validation; all queries
+    are pure.
     """
 
     def __init__(self, table, universe, edges, close=True):
@@ -42,17 +60,27 @@ class PreferentialStructure:
         for i in self.universe:
             if not 0 <= i < table.num_valuations:
                 raise StructureError(f"universe index {i} out of range")
-        edges = {(int(a), int(b)) for a, b in edges}
-        for a, b in edges:
+        self.universe_mask = _mask_of(self.universe, table.num_valuations)
+        try:
+            given = {(int(a), int(b)) for a, b in edges}
+        except TypeError as exc:
+            raise StructureError(f"edges must be [i, j] index pairs: {exc}") from exc
+        below = {}
+        for a, b in given:
             if a not in self.universe or b not in self.universe:
                 raise StructureError(f"edge ({a},{b}) leaves the universe")
+            below[a] = below.get(a, 0) | 1 << b
+        self.below = below
         if close:
-            closed = _transitive_closure(edges)
-            self.added_edges = frozenset(closed - edges)
-            edges = closed
+            members = _close(below)
+            self.edges = frozenset((i, j) for i, js in members.items() for j in js)
         else:
-            self.added_edges = frozenset()
-        self.edges = frozenset(edges)
+            self.edges = frozenset(given)
+        self.added_edges = self.edges - given
+        # a model is maximal unless some *other* model is preferred to it
+        self._dominates = {
+            i: row & ~(1 << i) if (row >> i) & 1 else row for i, row in below.items()
+        }
 
     def __repr__(self):
         return (
@@ -62,14 +90,11 @@ class PreferentialStructure:
 
     def validate(self):
         """List of irreflexivity/transitivity violations; empty means ok."""
-        violations = []
-        for a, b in sorted(self.edges):
-            if a == b:
-                violations.append(f"irreflexivity: ({a},{a})")
-        for a, b in sorted(self.edges):
-            for b2, c in sorted(self.edges):
-                if b2 == b and (a, c) not in self.edges:
-                    violations.append(f"transitivity: missing ({a},{c})")
+        edges = sorted(self.edges)
+        violations = [f"irreflexivity: ({a},{a})" for a, b in edges if a == b]
+        for a, b in edges:
+            for c in _indices(self.below.get(b, 0) & ~self.below[a]):
+                violations.append(f"transitivity: missing ({a},{c})")
         return violations
 
     def is_valid(self):
@@ -78,27 +103,26 @@ class PreferentialStructure:
     def prefers(self, i, j):
         return (i, j) in self.edges
 
-    def _model_indices(self, delta):
-        dmask = premise_mask(delta, self.table)
-        return [i for i in sorted(self.universe) if (dmask >> i) & 1]
+    def maximal_mask(self, dmask):
+        """Members of dmask in the universe that no other such member is preferred to."""
+        d = dmask & self.universe_mask
+        dominated = 0
+        for j in _indices(d):
+            dominated |= self._dominates.get(j, 0)
+        return d & ~dominated
 
     def maximal_models(self, delta):
         """Models of the premises not dominated by any other model of them."""
-        models = self._model_indices(delta)
-        model_set = set(models)
-        return {
-            self.table.valuation(i)
-            for i in models
-            if not any((j, i) in self.edges for j in model_set if j != i)
-        }
+        maximal = self.maximal_mask(premise_mask(delta, self.table))
+        return {self.table.valuation(i) for i in _indices(maximal)}
 
     def pref_entails(self, delta, alpha):
         """True iff alpha holds at every maximal model of the premises.
 
         Vacuously true when there are no models.
         """
-        amask = truth_mask(alpha, self.table)
-        return all((amask >> v.index) & 1 for v in self.maximal_models(delta))
+        maximal = self.maximal_mask(premise_mask(delta, self.table))
+        return not maximal & ~truth_mask(alpha, self.table)
 
     def dominating_maximal(self, delta):
         """Map each non-maximal model of the premises to a dominating maximal one.
@@ -106,15 +130,15 @@ class PreferentialStructure:
         Constructive smoothness witness; total because the order is a
         finite strict partial order.
         """
-        maximal = {v.index for v in self.maximal_models(delta)}
+        dmask = premise_mask(delta, self.table) & self.universe_mask
+        maximal = self.maximal_mask(dmask)
+        tops = _indices(maximal)
         out = {}
-        for i in self._model_indices(delta):
-            if i in maximal:
-                continue
-            dominators = [j for j in maximal if (j, i) in self.edges]
+        for i in _indices(dmask & ~maximal):
+            dominators = [j for j in tops if (j, i) in self.edges]
             if not dominators:
                 raise StructureError(f"smoothness failed at index {i}")
-            out[i] = min(dominators)
+            out[i] = dominators[0]
         return out
 
     def is_order_preserving(self, model):
@@ -151,6 +175,13 @@ def structure_from_dict(data, table):
         raise StructureError(
             f"structure JSON must have 'universe' and 'edges': {exc}"
         ) from exc
+    try:
+        universe, edges = list(universe), list(edges)
+    except TypeError as exc:
+        raise StructureError(f"'universe' and 'edges' must be lists: {exc}") from exc
+    bad = [i for i in universe if not isinstance(i, int)]
+    if bad:
+        raise StructureError(f"universe index {bad[0]!r} is not an integer")
     try:
         structure = PreferentialStructure(table, universe, edges)
     except (StructureError, ValueError) as exc:

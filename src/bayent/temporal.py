@@ -205,4 +205,6 @@ def scenario_from_dict(data):
         observations = [parse_premises(row, table) for row in observation_rows]
     except FormulaError as exc:
         raise TemporalError(f"bad observation: {exc}") from exc
+    except TypeError as exc:
+        raise TemporalError(f"observations must be lists of formulas: {exc}") from exc
     return model, observations

@@ -8,16 +8,21 @@ weights of the satisfying valuations and return `Fraction`s.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 
 from .formula import MAX_SYMBOLS, FormulaError, SymbolTable, parse_formula, truth_mask
 
 UNDEFINED = None  # conditional probability with zero-probability condition
 
 _SELECT = bytes.maketrans(b"01", b"\0\1")
+
+_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+_BITS = frozenset((0, 1))
 
 
 class WorldError(Exception):
@@ -26,6 +31,8 @@ class WorldError(Exception):
 
 def exact(value):
     """value as a Fraction; a float raises TypeError, since 0.3 is not 3/10."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; give an int, Fraction or 'p/q'")
     return Fraction(value)
@@ -68,6 +75,15 @@ def _mask_of(indices, size):
     return int(digits, 2)
 
 
+def _checked_size(table):
+    """Number of valuations of table, once it is known to be within the cap."""
+    if len(table) > MAX_SYMBOLS:
+        raise WorldError(
+            f"{len(table)} symbols exceeds the enumeration cap of {MAX_SYMBOLS}"
+        )
+    return table.num_valuations
+
+
 class WorldModel:
     """Distribution p over the valuations of a symbol table.
 
@@ -77,19 +93,29 @@ class WorldModel:
     """
 
     def __init__(self, table, probs):
-        if len(table) > MAX_SYMBOLS:
-            raise WorldError(
-                f"{len(table)} symbols exceeds the enumeration cap of {MAX_SYMBOLS}"
-            )
-        size = table.num_valuations
+        _checked_size(table)
         entries = [exact(p) for p in probs]
-        if len(entries) != size:
-            raise WorldError(f"need {size} probabilities, got {len(entries)}")
-        den = lcm(*(p.denominator for p in entries))
-        weights = tuple(p.numerator * (den // p.denominator) for p in entries)
-        for i, (w, p) in enumerate(zip(weights, entries)):
-            if w < 0:
-                raise WorldError(f"negative probability {p} at valuation index {i}")
+        self._set_weights(
+            table, [p.numerator for p in entries], [p.denominator for p in entries]
+        )
+
+    @classmethod
+    def _from_ratios(cls, table, nums, dens):
+        """Model with p(v_i) = nums[i] / dens[i], each ratio in lowest terms."""
+        model = cls.__new__(cls)
+        model._set_weights(table, nums, dens)
+        return model
+
+    def _set_weights(self, table, nums, dens):
+        size = table.num_valuations
+        if len(nums) != size:
+            raise WorldError(f"need {size} probabilities, got {len(nums)}")
+        den = lcm(*dens)
+        weights = tuple(p * (den // q) for p, q in zip(nums, dens))
+        if min(weights) < 0:
+            i = next(i for i, w in enumerate(weights) if w < 0)
+            p = Fraction(nums[i], dens[i])
+            raise WorldError(f"negative probability {p} at valuation index {i}")
         if sum(weights) != den:
             total = Fraction(sum(weights), den)
             raise WorldError(f"probabilities sum to {total}, off by {1 - total}")
@@ -182,13 +208,44 @@ def parse_rational(text):
         raise WorldError(f"cannot parse {text!r} as an exact rational: {exc}") from exc
 
 
+def _ratio(text):
+    """parse_rational(text) as a (numerator, denominator) pair in lowest terms.
+
+    Plain 'p' and 'p/q' digit strings are split directly; anything else
+    (decimals, signs, spaces, zero denominators) goes through parse_rational.
+    """
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match:
+        try:
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() converts
+            q = 0
+        if q:
+            g = gcd(p, q)
+            return p // g, q // g
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
 # --- JSON world files --------------------------------------------------
 #
 # {"symbols": ["a", "b"],
 #  "worlds": [{"assignment": {"a": 0, "b": 0}, "prob": "1/2"}, ...]}
 #
-# Every one of the 2^n assignments must appear exactly once; "prob"
-# accepts rational strings "p/q" or decimal strings parsed exactly.
+# Every one of the 2^n assignments must appear exactly once, in any order;
+# truth values are 0/1 or true/false; "prob" accepts rational strings "p/q"
+# or decimal strings parsed exactly.
+
+
+def _row_index(assignment, place, table):
+    """Valuation index of a row's assignment; place maps each symbol to its bit."""
+    try:
+        fast = assignment.keys() == place.keys() and _BITS.issuperset(assignment.values())
+    except (AttributeError, TypeError):
+        fast = False
+    if fast:
+        return sum(compress(place.values(), map(assignment.__getitem__, place)))
+    return table.valuation_from_assignment(assignment).index
 
 
 def world_from_dict(data):
@@ -201,23 +258,30 @@ def world_from_dict(data):
         table = SymbolTable(symbols)
     except ValueError as exc:
         raise WorldError(str(exc)) from exc
-    probs = [None] * table.num_valuations
+    if not isinstance(rows, list):
+        raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
+    size = _checked_size(table)
+    n = len(table)
+    place = {name: 1 << (n - 1 - k) for k, name in enumerate(table.symbols)}
+    nums = [None] * size
+    dens = [1] * size
     for row in rows:
         try:
-            v = table.valuation_from_assignment(row["assignment"])
+            assignment = row["assignment"]
+            index = _row_index(assignment, place, table)
             prob = row["prob"]
         except KeyError as exc:
             raise WorldError(f"world row {row!r} has no {exc} key") from exc
         except (TypeError, ValueError, FormulaError) as exc:
             raise WorldError(f"bad world row {row!r}: {exc}") from exc
-        if probs[v.index] is not None:
-            raise WorldError(f"assignment {row['assignment']} appears twice")
-        probs[v.index] = parse_rational(prob)
-    missing = [i for i, p in enumerate(probs) if p is None]
-    if missing:
+        if nums[index] is not None:
+            raise WorldError(f"assignment {assignment} appears twice")
+        nums[index], dens[index] = _ratio(prob)
+    if None in nums:
+        missing = [i for i, p in enumerate(nums) if p is None]
         first = table.valuation(missing[0]).assignment()
         raise WorldError(f"missing {len(missing)} assignments, e.g. {first}")
-    return WorldModel(table, probs)
+    return WorldModel._from_ratios(table, nums, dens)
 
 
 def world_to_dict(model):

@@ -124,6 +124,18 @@ class TestProb:
         line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
         assert "unknown atom 'z'" in line
 
+    def test_worlds_not_a_list(self, capsys, tmp_path):
+        path = write_json(tmp_path, "worlds5.json", {"symbols": ["a"], "worlds": 5})
+        line = run_input_error(capsys, "prob", "--world", path)
+        assert "'worlds' must be a list" in line
+
+    def test_assignment_not_a_mapping(self, capsys, tmp_path, table1_world):
+        body = world_to_dict(table1_world)
+        body["worlds"][0]["assignment"] = [1]
+        path = write_json(tmp_path, "listrow.json", body)
+        line = run_input_error(capsys, "prob", "--world", path)
+        assert "bad world row" in line
+
 
 class TestEntail:
     def args(self, world, omega):
@@ -188,6 +200,22 @@ class TestMapEntail:
 
 
 class TestPrefEntail:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"universe": 5, "edges": []}, "must be lists"),
+            ({"universe": [0, 1], "edges": 5}, "must be lists"),
+            ({"universe": ["0"], "edges": []}, "universe index '0' is not an integer"),
+            ({"universe": [0, 1], "edges": [5]}, "index pairs"),
+        ],
+    )
+    def test_malformed_structure(self, capsys, tmp_path, body, message):
+        path = write_json(tmp_path, "bad_structure.json", body)
+        line = run_input_error(
+            capsys, "pref-entail", "--structure", path, "--symbols", "a,b", "--conclusion", "a"
+        )
+        assert message in line
+
     def test_holds(self, capsys, structure_file):
         code, out = run(
             capsys,
@@ -370,6 +398,25 @@ class TestSimulate:
             capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
         )
         assert "unknown atom 'z'" in line
+
+    @pytest.mark.parametrize(
+        "observations, message",
+        [([[5]], "formula must be a string, not int"), (5, "not iterable"), ([5], "not iterable")],
+    )
+    def test_malformed_observations(self, capsys, tmp_path, table1_world, observations, message):
+        path = write_json(
+            tmp_path,
+            "badobs.json",
+            {
+                "prior": world_to_dict(table1_world),
+                "transition": {"kind": "identity"},
+                "observations": observations,
+            },
+        )
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
+        )
+        assert message in line
 
     def test_filters_each_observation_once(self, capsys, monkeypatch, tmp_path, table1_world):
         from bayent import temporal

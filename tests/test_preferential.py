@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bayent import (
     EXISTENTIAL,
@@ -12,11 +15,14 @@ from bayent import (
     WorldModel,
     evaluate,
     map_entails,
+    pref_oracle,
     structure_from_dict,
     structure_to_dict,
 )
+from bayent.worlds import _indices, premise_mask
 
 from conftest import EXAMPLE_EDGES
+from test_formula import _TABLE, formulas
 
 
 @pytest.fixture
@@ -45,6 +51,10 @@ class TestValidation:
     def test_missing_transitivity_without_closure(self, ab):
         s = PreferentialStructure(ab, range(4), [(0, 1), (1, 2)], close=False)
         assert s.validate() == ["transitivity: missing (0,2)"]
+
+    def test_missing_edge_reported_once_per_path(self, ab):
+        s = PreferentialStructure(ab, range(4), [(0, 1), (0, 2), (1, 3), (2, 3)], close=False)
+        assert s.validate() == ["transitivity: missing (0,3)"] * 2
 
     def test_edges_must_stay_in_universe(self, ab):
         with pytest.raises(StructureError):
@@ -197,3 +207,75 @@ def test_total_order_makes_pref_and_map_coincide(ab):
                 expected = structure.pref_entails(delta, alpha)
                 assert map_entails(model, delta, alpha, UNIVERSAL).holds == expected
                 assert map_entails(model, delta, alpha, EXISTENTIAL).holds == expected
+
+
+# --- bitset order kernel against brute force ---------------------------
+
+
+def _brute_closure(edges):
+    closed = set(edges)
+    while True:
+        new = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def _brute_violations(edges):
+    ordered = sorted(edges)
+    found = [f"irreflexivity: ({a},{a})" for a, b in ordered if a == b]
+    for a, b in ordered:
+        for b2, c in ordered:
+            if b2 == b and (a, c) not in edges:
+                found.append(f"transitivity: missing ({a},{c})")
+    return found
+
+
+def _brute_maximal(universe, edges, dmask):
+    models = [i for i in universe if (dmask >> i) & 1]
+    return {
+        i for i in models if not any(j != i and (j, i) in edges for j in models)
+    }
+
+
+@st.composite
+def orders(draw):
+    """A universe over _TABLE and any edge list inside it: cycles and self-loops too."""
+    universe = draw(st.sets(st.integers(0, 7), min_size=1))
+    members = sorted(universe)
+    pair = st.tuples(st.sampled_from(members), st.sampled_from(members))
+    return universe, draw(st.lists(pair, max_size=14)), draw(st.booleans())
+
+
+@given(orders(), st.integers(0, 255), st.lists(formulas(), max_size=2), formulas())
+def test_bitset_order_matches_brute_force(case, dmask, delta_list, alpha):
+    universe, edge_list, close = case
+    given_edges = set(edge_list)
+    structure = PreferentialStructure(_TABLE, universe, edge_list, close=close)
+
+    closed = _brute_closure(given_edges) if close else given_edges
+    assert structure.edges == closed
+    assert structure.added_edges == closed - given_edges
+    assert structure.validate() == _brute_violations(closed)
+
+    amask = dmask ^ 0b10110110
+    maximal = _brute_maximal(universe, closed, dmask)
+    assert _indices(structure.maximal_mask(dmask)) == sorted(maximal)
+    holds = all((amask >> i) & 1 for i in maximal)
+    assert pref_oracle(structure).mask_query(dmask, amask) == holds
+
+    delta = frozenset(delta_list)
+    models = _brute_maximal(universe, closed, premise_mask(delta, _TABLE))
+    assert {v.index for v in structure.maximal_models(delta)} == models
+    expected = all(evaluate(alpha, _TABLE.valuation(i)) for i in models)
+    assert structure.pref_entails(delta, alpha) == expected
+
+
+def test_long_chain_in_a_full_n16_universe_closes_fast():
+    table = SymbolTable([f"p{i}" for i in range(16)])
+    chain = [(i * 300, (i + 1) * 300) for i in range(200)]
+    start = time.perf_counter()
+    structure = PreferentialStructure(table, range(1 << 16), chain)
+    elapsed = time.perf_counter() - start
+    assert len(structure.edges) == 201 * 200 // 2
+    assert elapsed < 1.0

@@ -22,7 +22,7 @@ from bayent import (
     world_from_dict,
     world_to_dict,
 )
-from bayent.worlds import premise_mask
+from bayent.worlds import _ratio, exact, premise_mask
 
 from test_formula import formulas, _TABLE
 
@@ -260,3 +260,89 @@ def test_map_set_and_map_oracle_match_brute_force_argmax(probs, delta_list, alph
     existential = expected is None or any((amask >> i) & 1 for i in expected)
     assert map_oracle(model, "universal").mask_query(dmask, amask) == universal
     assert map_oracle(model, "existential").mask_query(dmask, amask) == existential
+
+
+# --- the one-pass integer loader ---------------------------------------
+
+TRICKY_RATIONALS = [
+    "2/4", "0/7", "007/014", "3", "0", " 1/2 ", "+1/2", "-1/2", "-0/3", "1/0",
+    "1/00", "0.25", "1e-2", "1_0/3", "½", "١/٢", "1//2", "", "9" * 5000 + "/3",
+]
+
+
+@pytest.mark.parametrize("text", TRICKY_RATIONALS)
+def test_ratio_fast_path_agrees_with_parse_rational(text):
+    try:
+        expected = Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(WorldError) as slow:
+            parse_rational(text)
+        with pytest.raises(WorldError) as fast:
+            _ratio(text)
+        assert str(fast.value) == str(slow.value)
+        return
+    assert parse_rational(text) == expected
+    assert _ratio(text) == (expected.numerator, expected.denominator)
+
+
+@given(st.integers(0, 10**30), st.integers(1, 10**30))
+def test_ratio_of_digit_strings_is_in_lowest_terms(p, q):
+    expected = Fraction(p, q)
+    assert _ratio(f"{p}/{q}") == (expected.numerator, expected.denominator)
+
+
+@given(
+    exact_probs(8),
+    st.lists(st.booleans(), min_size=24, max_size=24),
+    st.lists(st.integers(1, 6), min_size=8, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_loader_matches_fraction_model(probs, as_bool, scales, rng):
+    """Shuffled rows, true/false bits and unnormalised 'p/q' strings load exactly."""
+    rows = []
+    for v in _TABLE.valuations():
+        names = list(_TABLE.symbols)
+        rng.shuffle(names)
+        flags = iter(as_bool[3 * v.index:])
+        bits = {k: bool(v.value(k)) if next(flags) else v.value(k) for k in names}
+        p, scale = probs[v.index], scales[v.index]
+        prob = f"{p.numerator * scale}/{p.denominator * scale}"
+        rows.append({"assignment": bits, "prob": prob})
+    rng.shuffle(rows)
+    loaded = world_from_dict({"symbols": list(_TABLE.symbols), "worlds": rows})
+    expected = WorldModel(_TABLE, probs)
+    assert loaded == expected
+    assert loaded.support_mask == expected.support_mask
+
+
+def test_round_trip_at_n10():
+    model = random_world(SymbolTable([f"p{i}" for i in range(10)]), 3, Fraction(1, 4))
+    assert world_from_dict(json.loads(json.dumps(world_to_dict(model)))) == model
+
+
+def test_loader_refuses_too_many_symbols_before_allocating():
+    data = {"symbols": [f"p{i}" for i in range(21)], "worlds": []}
+    with pytest.raises(WorldError, match="cap of 20"):
+        world_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ({"a": 0}, "missing symbols"),
+        ({"a": 0, "b": 1, "z": 0}, "unknown atom 'z'"),
+        ({"a": 2, "b": 1}, "must be 0 or 1"),
+        ({"a": [0], "b": 1}, "must be 0 or 1"),
+        ([1], "missing symbols"),
+        (5, "not iterable"),
+    ],
+)
+def test_loader_keeps_row_messages(assignment, message):
+    data = {"symbols": ["a", "b"], "worlds": [{"assignment": assignment, "prob": "1"}]}
+    with pytest.raises(WorldError, match=message):
+        world_from_dict(data)
+
+
+def test_fraction_argument_is_kept():
+    p = Fraction(1, 3)
+    assert exact(p) is p
