@@ -41,6 +41,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply") from None
 
 
 def _load_world(path):
@@ -290,6 +292,10 @@ def main(argv=None):
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # parsing, compiling and rendering recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import truth_mask
-from .worlds import _indices, _mask_of, exact, premise_mask
+from .worlds import _indices, exact, premise_mask
 
 UNIVERSAL = "universal"
 EXISTENTIAL = "existential"
@@ -87,19 +87,23 @@ def bayes_entails(model, delta, alpha, omega):
     if p >= w:
         return Verdict(holds=True, probability=p, vacuous=False)
     counter_mask = dmask & ~amask & model.support_mask
-    witnesses = tuple(table.valuation(i) for i in _indices(counter_mask))
+    witnesses = tuple(map(table.valuation, _indices(counter_mask)))
     return Verdict(holds=False, probability=p, vacuous=False, witnesses=witnesses)
 
 
 def map_mask(model, dmask):
     """Bitmask of the maximizers of p(v | dmask); 0 when dmask has zero mass.
 
-    A max over the integer weights of the supported valuations in dmask.
+    Walks the weight planes from the most significant bit down, keeping
+    the supported candidates that have the bit set whenever any does;
+    the survivors share the maximal weight.
     """
-    weights = model.weights
-    candidates = _indices(dmask & model.support_mask)
-    best = max(map(weights.__getitem__, candidates), default=0)
-    return _mask_of((i for i in candidates if weights[i] == best), len(weights))
+    winners = dmask & model.support_mask
+    for plane in reversed(model.planes):
+        top = winners & plane
+        if top:
+            winners = top
+    return winners
 
 
 def map_set(model, delta):
@@ -121,17 +125,15 @@ def map_entails(model, delta, alpha, mode=UNIVERSAL):
     """
     if mode not in (UNIVERSAL, EXISTENTIAL):
         raise ValueError(f"unknown mode {mode!r}")
-    maximizers = map_set(model, delta)
-    if maximizers is None:
+    winners = map_mask(model, premise_mask(delta, model.table))
+    if winners == 0:
         return Verdict(holds=True, probability=None, vacuous=True)
-    amask = truth_mask(alpha, model.table)
-    winners = _mask_of((v.index for v in maximizers), len(model.weights))
-    hits = (winners & amask).bit_count()
-    holds = hits == len(maximizers) if mode == UNIVERSAL else hits > 0
-    witnesses = tuple(sorted(maximizers, key=lambda v: v.index))
+    witnesses = tuple(map(model.table.valuation, _indices(winners)))
+    hits = (winners & truth_mask(alpha, model.table)).bit_count()
+    holds = hits == len(witnesses) if mode == UNIVERSAL else hits > 0
     return Verdict(
         holds=holds,
-        probability=Fraction(hits, len(maximizers)),
+        probability=Fraction(hits, len(witnesses)),
         vacuous=False,
         witnesses=witnesses,
     )

@@ -13,7 +13,7 @@ Parentheses group as usual.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -50,7 +50,7 @@ class SymbolTable:
     (all-false first, all-true last).
     """
 
-    __slots__ = ("symbols", "_positions")
+    __slots__ = ("symbols", "_positions", "num_valuations")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -65,6 +65,7 @@ class SymbolTable:
             seen.add(name)
         self.symbols = syms
         self._positions = {name: i for i, name in enumerate(syms)}
+        self.num_valuations = 1 << len(syms)
 
     def __len__(self):
         return len(self.symbols)
@@ -90,10 +91,6 @@ class SymbolTable:
         except KeyError:
             raise UnknownAtomError(name) from None
 
-    @property
-    def num_valuations(self):
-        return 1 << len(self.symbols)
-
     def valuation(self, index):
         return Valuation(self, index)
 
@@ -118,20 +115,39 @@ class SymbolTable:
         return Valuation(self, index)
 
 
-@dataclass(frozen=True)
 class Valuation:
     """One truth assignment, encoded as an integer in [0, 2^n).
 
     symbols[0] maps to the most significant bit, so enumerating indices
-    0..2^n-1 walks the truth table top to bottom.
+    0..2^n-1 walks the truth table top to bottom. Immutable: equal and
+    hashed on (table, index), and assigning an attribute raises
+    FrozenInstanceError.
     """
 
-    table: SymbolTable
-    index: int
+    __slots__ = ("table", "index")
 
-    def __post_init__(self):
-        if not 0 <= self.index < self.table.num_valuations:
-            raise ValueError(f"valuation index {self.index} out of range")
+    def __init__(self, table, index):
+        if not 0 <= index < table.num_valuations:
+            raise ValueError(f"valuation index {index} out of range")
+        _set_table(self, table)
+        _set_index(self, index)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Valuation, (self.table, self.index)
+
+    def __eq__(self, other):
+        if other.__class__ is not Valuation:
+            return NotImplemented
+        return self.index == other.index and self.table == other.table
+
+    def __hash__(self):
+        return hash((self.table, self.index))
 
     @property
     def bits(self):
@@ -148,6 +164,12 @@ class Valuation:
     def __repr__(self):
         inner = ",".join(f"{k}={v}" for k, v in self.assignment().items())
         return f"Valuation({inner})"
+
+
+# Valuation.__setattr__ refuses assignment, so __init__ fills the slots
+# through their descriptors.
+_set_table = Valuation.table.__set__
+_set_index = Valuation.index.__set__
 
 
 # --- AST ---------------------------------------------------------------

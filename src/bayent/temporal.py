@@ -28,8 +28,21 @@ from .worlds import (
 from .entail import Verdict, check_threshold
 
 
+# A dense transition has 4^n cells; refuse more than 2^20 of them.
+MAX_TEMPORAL_SYMBOLS = 10
+
+
 class TemporalError(Exception):
     """Invalid temporal model or scenario file."""
+
+
+def _check_temporal_size(table):
+    """Raise TemporalError when table has more than MAX_TEMPORAL_SYMBOLS symbols."""
+    if len(table) > MAX_TEMPORAL_SYMBOLS:
+        raise TemporalError(
+            f"{len(table)} symbols exceeds the temporal cap of {MAX_TEMPORAL_SYMBOLS}"
+            f" (a transition over n symbols has 4^n cells)"
+        )
 
 
 def identity_transition(size):
@@ -61,6 +74,7 @@ class TemporalModel:
     """
 
     def __init__(self, table, prior, transition):
+        _check_temporal_size(table)
         size = table.num_valuations
         prior = tuple(exact(p) for p in prior)
         if len(prior) != size:
@@ -179,6 +193,7 @@ def scenario_from_dict(data):
     except WorldError as exc:
         raise TemporalError(f"bad prior: {exc}") from exc
     table = prior.table
+    _check_temporal_size(table)
     size = table.num_valuations
 
     kind = transition_spec.get("kind") if isinstance(transition_spec, dict) else None

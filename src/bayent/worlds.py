@@ -2,23 +2,29 @@
 
 Nothing is ever rounded. A WorldModel stores the probability of each of
 the 2^n valuations of its symbol table as an integer weight over one
-common denominator; queries (joint, conditional, posterior) sum the
-weights of the satisfying valuations and return `Fraction`s.
+common denominator, and the same weights again as bit planes: planes[b]
+is the mask of the valuations whose weight has bit b set. Queries
+(joint, conditional, posterior) sum the weight of a mask plane by plane
+and return `Fraction`s.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, reduce
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import or_
 
 from .formula import MAX_SYMBOLS, FormulaError, SymbolTable, parse_formula, truth_mask
 
 UNDEFINED = None  # conditional probability with zero-probability condition
 
 _SELECT = bytes.maketrans(b"01", b"\0\1")
+
+# _DIGIT[t] maps a byte to the ASCII digit of its bit t.
+_DIGIT = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
 
 _RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
@@ -75,6 +81,31 @@ def _mask_of(indices, size):
     return int(digits, 2)
 
 
+def _planes(weights):
+    """Bit planes of non-negative weights: bit i of planes[b] is bit b of weights[i].
+
+    Each weight is written as k little-endian bytes, highest index first;
+    a strided slice picks out one byte of every weight, and one translate
+    per bit turns it into the binary digits of a plane. The cost grows
+    with the weights' total bytes. There are max(weights).bit_length()
+    planes of one bit per weight, never more than the weights' own digits.
+    """
+    width = max(weights).bit_length()
+    k = (width + 7) // 8
+    top_first = reversed(weights)
+    if k == 1:  # one C call, where int.to_bytes per weight costs more than the planes
+        blob = bytes(top_first)
+    else:
+        blob = b"".join(map(int.to_bytes, top_first, repeat(k), repeat("little")))
+    planes = []
+    for b in range(width):
+        byte, bit = divmod(b, 8)
+        if bit == 0:
+            column = blob[byte::k]
+        planes.append(int(column.translate(_DIGIT[bit]), 2))
+    return tuple(planes)
+
+
 def _checked_size(table):
     """Number of valuations of table, once it is known to be within the cap."""
     if len(table) > MAX_SYMBOLS:
@@ -87,8 +118,10 @@ def _checked_size(table):
 class WorldModel:
     """Distribution p over the valuations of a symbol table.
 
-    p(v_i) = weights[i] / den, den being the least common denominator.
-    Immutable after validation. Queries are pure, so a shared model may
+    p(v_i) = weights[i] / den, den being the least common denominator;
+    planes[b] is the mask of the indices whose weight has bit b set, and
+    support_mask, their OR, the mask of the non-zero weights. Immutable
+    after validation. Queries are pure, so a shared model may
     be used concurrently without coordination.
     """
 
@@ -122,7 +155,8 @@ class WorldModel:
         self.table = table
         self.weights = weights
         self.den = den
-        self.support_mask = _mask_of(compress(range(size), weights), size)
+        self.planes = _planes(weights)
+        self.support_mask = reduce(or_, self.planes)
 
     @cached_property
     def probs(self):
@@ -145,7 +179,9 @@ class WorldModel:
 
     def weight(self, mask):
         """Integer weight, over den, of the valuations whose index bits are set."""
-        return sum(compress(self.weights, _selector(mask)))
+        return sum(
+            (mask & plane).bit_count() << b for b, plane in enumerate(self.planes)
+        )
 
     def mass(self, mask):
         """Total probability of the valuations whose index bits are set in mask."""

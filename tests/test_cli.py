@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bayent import world_to_dict
+from bayent import SymbolTable, uniform_world, world_to_dict
 from bayent.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 
 from conftest import EXAMPLE_EDGES
@@ -135,6 +135,21 @@ class TestProb:
         path = write_json(tmp_path, "listrow.json", body)
         line = run_input_error(capsys, "prob", "--world", path)
         assert "bad world row" in line
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a" + " & a" * 2999, "~" * 3000 + "a", "(" * 1500 + "a" + ")" * 1500],
+        ids=["and-chain", "negations", "parentheses"],
+    )
+    def test_deep_formula(self, capsys, world_file, text):
+        line = run_input_error(capsys, "prob", "--world", world_file, "--premise", text)
+        assert line == "error: formula nested too deeply"
+
+    def test_deep_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        line = run_input_error(capsys, "prob", "--world", str(path))
+        assert line.endswith("deep.json is nested too deeply")
 
 
 class TestEntail:
@@ -444,6 +459,24 @@ class TestSimulate:
         assert code == EXIT_YES
         assert len(out["steps"]) == 3
         assert len(calls) == 3
+
+    def test_too_many_symbols_refused_before_the_transition_is_built(
+        self, capsys, tmp_path
+    ):
+        table = SymbolTable([f"s{i}" for i in range(11)])
+        path = write_json(
+            tmp_path,
+            "eleven.json",
+            {
+                "prior": world_to_dict(uniform_world(table)),
+                "transition": {"kind": "identity"},
+                "observations": [],
+            },
+        )
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "s0", "--omega", "1"
+        )
+        assert "11 symbols exceeds the temporal cap of 10" in line
 
     def test_malformed_transition_row(self, tmp_path, table1_world):
         path = tmp_path / "rows.json"

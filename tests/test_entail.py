@@ -21,9 +21,11 @@ from bayent import (
     uniform_world,
 )
 
-from bayent.entail import check_threshold
+from bayent.entail import check_threshold, map_mask
+from bayent.worlds import premise_mask
 
 from test_formula import formulas, _TABLE
+from test_worlds import integer_worlds, masks_of
 
 
 class TestVerdict:
@@ -211,3 +213,32 @@ def test_bayes_countermodels_sound(delta, alpha, seed, zf):
         assert model.p(witness) > 0
         assert all(evaluate(b, witness) == 1 for b in delta)
         assert evaluate(alpha, witness) == 0
+
+
+# --- the plane MAP kernel against a brute-force argmax -------------------
+
+
+def brute_map_mask(model, dmask):
+    members = [i for i, w in enumerate(model.weights) if w and (dmask >> i) & 1]
+    best = max((model.weights[i] for i in members), default=None)
+    return sum(1 << i for i in members if model.weights[i] == best)
+
+
+@given(integer_worlds(), st.data())
+def test_map_mask_equals_brute_force_argmax(model, data):
+    full = (1 << len(model.weights)) - 1
+    for dmask in data.draw(st.lists(masks_of(model) | st.just(full), min_size=1, max_size=4)):
+        assert map_mask(model, dmask) == brute_map_mask(model, dmask)
+
+
+@given(integer_worlds(n=3), premise_sets, formulas(), st.sampled_from([UNIVERSAL, EXISTENTIAL]))
+def test_map_entails_witnesses_are_the_map_set_in_index_order(model, delta, alpha, mode):
+    found = map_set(model, delta)
+    verdict = map_entails(model, delta, alpha, mode)
+    if found is None:
+        assert verdict.vacuous and verdict.witnesses == ()
+    else:
+        assert verdict.witnesses == tuple(sorted(found, key=lambda v: v.index))
+        assert map_mask(model, premise_mask(delta, _TABLE)) == sum(
+            1 << v.index for v in found
+        )

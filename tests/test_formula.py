@@ -1,4 +1,7 @@
+import copy
+import pickle
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,24 @@ from bayent import (
     render,
 )
 from bayent.formula import _atom_mask, truth_mask
+
+
+def test_valuation_is_a_frozen_value():
+    t = SymbolTable(["a", "b"])
+    v = Valuation(t, 2)
+    twin = Valuation(SymbolTable(["a", "b"]), 2)
+    assert v == twin and hash(v) == hash(twin) == hash((t, 2))
+    assert v != Valuation(t, 3) and v != Valuation(SymbolTable(["a", "c"]), 2)
+    assert v.__eq__((t, 2)) is NotImplemented and v != 2
+    with pytest.raises(FrozenInstanceError):
+        v.index = 3
+    with pytest.raises(FrozenInstanceError):
+        del v.table
+    for index in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            Valuation(t, index)
+    assert repr(v) == "Valuation(a=1,b=0)"
+    assert copy.copy(v) == v and pickle.loads(pickle.dumps(v)) == v
 
 
 class TestSymbolTable:

@@ -94,6 +94,11 @@ class TestModelValidation:
         with pytest.raises(TemporalError):
             sticky_transition(4, Fraction(3, 2))
 
+    def test_too_many_symbols_refused_before_rows_are_read(self):
+        table = SymbolTable([f"s{i}" for i in range(11)])
+        with pytest.raises(TemporalError, match="temporal cap of 10"):
+            TemporalModel(table, [], iter(()))
+
     def test_floats_rejected(self, a_table):
         with pytest.raises(TypeError, match="float"):
             sticky_transition(4, 0.1)

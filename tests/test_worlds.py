@@ -262,6 +262,60 @@ def test_map_set_and_map_oracle_match_brute_force_argmax(probs, delta_list, alph
     assert map_oracle(model, "existential").mask_query(dmask, amask) == existential
 
 
+# --- bit planes against per-valuation brute force ----------------------
+
+# zero, 1-bit, 8-bit, 9-bit and wider-than-64-bit weights
+WEIGHTS = st.one_of(
+    st.just(0),
+    st.integers(0, 1),
+    st.integers(0, 255),
+    st.integers(256, 511),
+    st.integers(2**64, 2**72),
+)
+
+
+@st.composite
+def integer_worlds(draw, n=None):
+    """A model over symbols a, b, ... whose weights mix every width, with ties."""
+    n = n or draw(st.integers(1, 8))
+    size = 1 << n
+    pool = draw(st.lists(WEIGHTS, min_size=1, max_size=3))
+    raw = draw(
+        st.lists(st.sampled_from(pool) | WEIGHTS, min_size=size, max_size=size).filter(any)
+    )
+    den = draw(st.sampled_from([sum(raw), max(sum(raw), 2**70)]))
+    raw[0] += den - sum(raw)
+    table = SymbolTable("abcdefgh"[:n])
+    return WorldModel(table, [Fraction(w, den) for w in raw])
+
+
+def masks_of(model):
+    return st.integers(0, (1 << len(model.weights)) - 1)
+
+
+def brute_weight(model, mask):
+    return sum(w for i, w in enumerate(model.weights) if (mask >> i) & 1)
+
+
+@given(integer_worlds())
+def test_planes_reassemble_every_weight(model):
+    assert len(model.planes) == max(model.weights).bit_length()
+    for i, w in enumerate(model.weights):
+        assert sum(((plane >> i) & 1) << b for b, plane in enumerate(model.planes)) == w
+
+
+@given(integer_worlds())
+def test_support_mask_is_the_mask_of_nonzero_weights(model):
+    assert model.support_mask == sum(1 << i for i, w in enumerate(model.weights) if w)
+
+
+@given(integer_worlds(), st.data())
+def test_weight_equals_brute_force_sum(model, data):
+    for mask in data.draw(st.lists(masks_of(model), min_size=1, max_size=4)):
+        assert model.weight(mask) == brute_weight(model, mask)
+        assert model.mass(mask) == Fraction(brute_weight(model, mask), model.den)
+
+
 # --- the one-pass integer loader ---------------------------------------
 
 TRICKY_RATIONALS = [
