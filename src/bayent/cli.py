@@ -19,10 +19,17 @@ from .entail import (
     UNIVERSAL,
     bayes_entails,
     map_entails,
+    valuation_rows,
 )
 from .formula import FormulaError, SymbolTable, parse_formula
 from .preferential import StructureError, structure_from_dict
-from .worlds import WorldError, parse_premises, parse_rational, world_from_dict
+from .worlds import (
+    WorldError,
+    parse_premises,
+    parse_rational,
+    premise_mask,
+    world_from_dict,
+)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -125,13 +132,8 @@ def _cmd_pref_entail(args):
         raise InputError(f"bad structure file {args.structure}: {exc}") from exc
     delta, conclusion = _parse_formulas(args, table)
     holds = structure.pref_entails(delta, conclusion)
-    maximal = sorted(structure.maximal_models(delta), key=lambda v: v.index)
-    payload = {
-        "holds": holds,
-        "maximal_models": [
-            {"index": v.index, "assignment": v.assignment()} for v in maximal
-        ],
-    }
+    maximal = structure.maximal_mask(premise_mask(delta, table))
+    payload = {"holds": holds, "maximal_models": valuation_rows(table, maximal)}
     _emit(payload, args.pretty)
     return EXIT_YES if holds else EXIT_NO
 

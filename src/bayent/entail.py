@@ -8,7 +8,7 @@ conclusion only at the posterior-mode valuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .formula import truth_mask
@@ -26,37 +26,94 @@ def check_threshold(omega):
     return w
 
 
-@dataclass(frozen=True)
+def valuation_rows(table, mask):
+    """JSON rows {"index", "assignment"} of the set bits of mask, in index order."""
+    return [{"index": i, "assignment": table.assignment(i)} for i in _indices(mask)]
+
+
 class Verdict:
     """Outcome of an entailment query.
 
     probability is None exactly when the verdict is vacuous (zero-mass
     premises). witnesses are MAP estimates on success paths that have
     them, or supported countermodels on failure; always sorted by
-    valuation index.
+    valuation index. The engines keep them as the mask they computed:
+    the Valuations are built on the first read of .witnesses and kept,
+    and to_dict renders the rows from the mask without building any.
+    Immutable: assigning an attribute raises FrozenInstanceError.
     """
 
-    holds: bool
-    probability: Fraction | None
-    vacuous: bool
-    witnesses: tuple = ()
+    __slots__ = ("holds", "probability", "vacuous", "_witnesses", "_table", "_mask")
+    __match_args__ = ("holds", "probability", "vacuous", "witnesses")
 
-    def __post_init__(self):
-        if self.vacuous and not self.holds:
+    def __init__(self, holds, probability, vacuous, witnesses=()):
+        if vacuous and not holds:
             raise ValueError("vacuous verdicts hold by definition")
-        if (self.probability is None) != self.vacuous:
+        if (probability is None) != vacuous:
             raise ValueError("probability is undefined iff vacuous")
+        _fill(self, holds, probability, vacuous, witnesses, None, 0)
+
+    @classmethod
+    def _of_mask(cls, holds, probability, table, mask):
+        """Non-vacuous verdict whose witnesses are the valuations at mask's bits."""
+        verdict = cls.__new__(cls)
+        _fill(verdict, holds, probability, False, None, table, mask)
+        return verdict
+
+    @property
+    def witnesses(self):
+        if self._witnesses is None:
+            found = tuple(map(self._table.valuation, _indices(self._mask)))
+            object.__setattr__(self, "_witnesses", found)
+        return self._witnesses
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return (self.holds, self.probability, self.vacuous, self.witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        holds, probability, vacuous, witnesses = self._fields()
+        return (
+            f"Verdict(holds={holds!r}, probability={probability!r}, "
+            f"vacuous={vacuous!r}, witnesses={witnesses!r})"
+        )
 
     def to_dict(self):
+        if self._table is None:
+            rows = [
+                {"index": v.index, "assignment": v.assignment()}
+                for v in self._witnesses
+            ]
+        else:
+            rows = valuation_rows(self._table, self._mask)
         return {
             "holds": self.holds,
             "probability": None if self.probability is None else str(self.probability),
             "vacuous": self.vacuous,
-            "witnesses": [
-                {"index": v.index, "assignment": v.assignment()}
-                for v in self.witnesses
-            ],
+            "witnesses": rows,
         }
+
+
+def _fill(verdict, *values):
+    """Set the slots of a new verdict, in __slots__ order."""
+    for name, value in zip(Verdict.__slots__, values):
+        object.__setattr__(verdict, name, value)
 
 
 def classical_entails(table, delta, alpha):
@@ -79,16 +136,16 @@ def bayes_entails(model, delta, alpha, omega):
     w = check_threshold(omega)
     table = model.table
     dmask = premise_mask(delta, table)
-    denom = model.mass(dmask)
-    if denom == 0:
+    kept = model.weight(dmask)
+    if kept == 0:
         return Verdict(holds=True, probability=None, vacuous=True)
     amask = truth_mask(alpha, table)
-    p = model.mass(dmask & amask) / denom
-    if p >= w:
+    hit = model.weight(dmask & amask)
+    p = Fraction(hit, kept)
+    # p >= w = num/den, cross-multiplied over the integer weights
+    if hit * w.denominator >= w.numerator * kept:
         return Verdict(holds=True, probability=p, vacuous=False)
-    counter_mask = dmask & ~amask & model.support_mask
-    witnesses = tuple(map(table.valuation, _indices(counter_mask)))
-    return Verdict(holds=False, probability=p, vacuous=False, witnesses=witnesses)
+    return Verdict._of_mask(False, p, table, dmask & ~amask & model.support_mask)
 
 
 def map_mask(model, dmask):
@@ -125,15 +182,11 @@ def map_entails(model, delta, alpha, mode=UNIVERSAL):
     """
     if mode not in (UNIVERSAL, EXISTENTIAL):
         raise ValueError(f"unknown mode {mode!r}")
-    winners = map_mask(model, premise_mask(delta, model.table))
+    table = model.table
+    winners = map_mask(model, premise_mask(delta, table))
     if winners == 0:
         return Verdict(holds=True, probability=None, vacuous=True)
-    witnesses = tuple(map(model.table.valuation, _indices(winners)))
-    hits = (winners & truth_mask(alpha, model.table)).bit_count()
-    holds = hits == len(witnesses) if mode == UNIVERSAL else hits > 0
-    return Verdict(
-        holds=holds,
-        probability=Fraction(hits, len(witnesses)),
-        vacuous=False,
-        witnesses=witnesses,
-    )
+    count = winners.bit_count()
+    hits = (winners & truth_mask(alpha, table)).bit_count()
+    holds = hits == count if mode == UNIVERSAL else hits > 0
+    return Verdict._of_mask(holds, Fraction(hits, count), table, winners)

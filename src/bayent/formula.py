@@ -20,6 +20,9 @@ ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 MAX_SYMBOLS = 20
 
+# Maps the ASCII digits b"0" and b"1" to the bytes 0 and 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class FormulaError(Exception):
     """Base for all formula-layer errors."""
@@ -94,6 +97,14 @@ class SymbolTable:
     def valuation(self, index):
         return Valuation(self, index)
 
+    def assignment(self, index):
+        """{name: 0/1} of the valuation with this index, built without a Valuation."""
+        if not 0 <= index < self.num_valuations:
+            raise ValueError(f"valuation index {index} out of range")
+        # the bit above the top one pads the digits to exactly n
+        digits = bin(index | self.num_valuations)[3:].encode()
+        return dict(zip(self.symbols, digits.translate(_DIGIT_BITS)))
+
     def valuations(self):
         """All valuations in index order."""
         return [Valuation(self, i) for i in range(self.num_valuations)]
@@ -159,7 +170,7 @@ class Valuation:
         return (self.index >> (n - 1 - self.table.position(name))) & 1
 
     def assignment(self):
-        return dict(zip(self.table.symbols, self.bits))
+        return self.table.assignment(self.index)
 
     def __repr__(self):
         inner = ",".join(f"{k}={v}" for k, v in self.assignment().items())

@@ -17,11 +17,22 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import or_
 
-from .formula import MAX_SYMBOLS, FormulaError, SymbolTable, parse_formula, truth_mask
+from .formula import (
+    _DIGIT_BITS,
+    MAX_SYMBOLS,
+    FormulaError,
+    SymbolTable,
+    parse_formula,
+    truth_mask,
+)
 
 UNDEFINED = None  # conditional probability with zero-probability condition
 
-_SELECT = bytes.maketrans(b"01", b"\0\1")
+# _NONZERO maps a byte to 1 unless it is 0; _BYTE_BITS[v] lists the set bits of v.
+_NONZERO = bytes(1) + b"\1" * 255
+_BYTE_BITS = [()]
+for _t in range(8):  # the bytes v + 2^t have the bits of v and bit t
+    _BYTE_BITS += [bits + (_t,) for bits in _BYTE_BITS]
 
 # _DIGIT[t] maps a byte to the ASCII digit of its bit t.
 _DIGIT = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
@@ -59,11 +70,30 @@ def premise_mask(formulas, table):
 
 def _selector(mask):
     """One byte per index, lowest first: 1 where the bit of mask is set, else 0."""
-    return bin(mask)[:1:-1].encode().translate(_SELECT)
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
 def _indices(mask):
-    """Indices of the set bits of mask, in increasing order."""
+    """Indices of the set bits of mask, in increasing order.
+
+    The scan is picked by density, so a sparse mask costs about its set
+    bits, not its width. Under one bit in 256, the mask is read as bytes
+    and find skips the zero bytes in C; over one bit in 8, the indices
+    are compressed against its selector; in between, the binary digits
+    are searched one set bit at a time.
+    """
+    count, width = mask.bit_count(), mask.bit_length()
+    if count * 256 < width:
+        data = mask.to_bytes((width + 7) // 8, "little")
+        flags = data.translate(_NONZERO)
+        found = []
+        at = flags.find(1)
+        while at >= 0:
+            found += map((at * 8).__add__, _BYTE_BITS[data[at]])
+            at = flags.find(1, at + 1)
+        return found
+    if count * 8 > width:
+        return list(compress(range(width), _selector(mask)))
     digits = bin(mask)[:1:-1]
     found = []
     i = digits.find("1")
@@ -199,10 +229,10 @@ class WorldModel:
     def conditional(self, alpha, delta):
         """p(alpha | delta), or UNDEFINED when the premises have zero mass."""
         dmask = premise_mask(delta, self.table)
-        denom = self.mass(dmask)
-        if denom == 0:
+        kept = self.weight(dmask)
+        if kept == 0:
             return UNDEFINED
-        return self.mass(dmask & truth_mask(alpha, self.table)) / denom
+        return Fraction(self.weight(dmask & truth_mask(alpha, self.table)), kept)
 
     def posterior(self, delta):
         """Updated distribution given the premises, as a WorldModel.

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bayent import SymbolTable, uniform_world, world_to_dict
 from bayent.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from bayent.formula import Valuation
 
 from conftest import EXAMPLE_EDGES
 
@@ -496,3 +498,27 @@ class TestSimulate:
             ["simulate", "--scenario", str(path), "--conclusion", "a", "--omega", "1"]
         )
         assert code == EXIT_ERROR
+
+
+def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, capsys):
+    built = []
+    init = Valuation.__init__
+
+    def counting_init(self, table, index):
+        built.append(index)
+        init(self, table, index)
+
+    monkeypatch.setattr(Valuation, "__init__", counting_init)
+    monkeypatch.chdir(Path(__file__).parent / "data" / "cli_golden")
+    calls = [
+        ["entail", "--world", "world4.json", "--conclusion", "a&b", "--omega", "1/2"],
+        ["map-entail", "--world", "world.json", "--premise", "a<->b", "--conclusion", "c"],
+        ["pref-entail", "--structure", "structure.json", "--symbols", "a,b,c",
+         "--premise", "b&~c|a&~b", "--conclusion", "c"],
+    ]
+    rows = []
+    for argv in calls:
+        assert main(argv) == EXIT_NO
+        out = json.loads(capsys.readouterr().out)
+        rows.append(len(out["witnesses"] if "witnesses" in out else out["maximal_models"]))
+    assert built == [] and rows == [9, 4, 3]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from bayent import (
     evaluate,
     make_world,
     map_entails,
+    map_oracle,
     map_set,
     monotony_counterexample_world,
     random_world,
@@ -22,6 +26,7 @@ from bayent import (
 )
 
 from bayent.entail import check_threshold, map_mask
+from bayent.formula import And, Atom, Bottom, Not, Or, Top, Valuation
 from bayent.worlds import premise_mask
 
 from test_formula import formulas, _TABLE
@@ -38,6 +43,63 @@ class TestVerdict:
             Verdict(holds=True, probability=Fraction(1), vacuous=True)
         with pytest.raises(ValueError):
             Verdict(holds=True, probability=None, vacuous=False)
+
+
+def test_mask_backed_verdict_behaves_like_the_explicit_one(ab, f):
+    model = make_world(ab, ["1/8", "1/8", "1/4", "1/2"])
+    lazy = bayes_entails(model, set(), f("a & b"), 1)
+    eager = Verdict(
+        holds=False,
+        probability=Fraction(1, 2),
+        vacuous=False,
+        witnesses=(ab.valuation(0), ab.valuation(1), ab.valuation(2)),
+    )
+    assert lazy.to_dict() == eager.to_dict()
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager) == (
+        "Verdict(holds=False, probability=Fraction(1, 2), vacuous=False, "
+        "witnesses=(Valuation(a=0,b=0), Valuation(a=0,b=1), Valuation(a=1,b=0)))"
+    )
+    shorter = Verdict(False, Fraction(1, 2), False, eager.witnesses[:2])
+    assert lazy != shorter and lazy.__eq__(eager.witnesses) is NotImplemented
+    for twin in (copy.copy(lazy), copy.deepcopy(lazy), pickle.loads(pickle.dumps(lazy))):
+        assert twin == lazy and twin.to_dict() == lazy.to_dict()
+    for name in ("holds", "probability", "vacuous", "witnesses"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(lazy, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(lazy, name)
+    match lazy:
+        case Verdict(holds, probability, vacuous, witnesses):
+            assert (holds, probability, vacuous, witnesses) == (
+                False, Fraction(1, 2), False, eager.witnesses
+            )
+    assert Verdict(True, None, True).witnesses == ()
+
+
+def test_verdicts_build_no_valuation_until_witnesses_are_read(monkeypatch):
+    table = SymbolTable(["a", "b", "c", "d"])
+    model = uniform_world(table)
+    delta = {Or(Atom("a"), Atom("b"))}
+    alpha = And(Atom("c"), Atom("d"))
+    built = []
+    init = Valuation.__init__
+
+    def counting_init(self, table, index):
+        built.append(index)
+        init(self, table, index)
+
+    monkeypatch.setattr(Valuation, "__init__", counting_init)
+    failing = bayes_entails(model, delta, alpha, Fraction(1, 2))
+    tied = map_entails(model, delta, alpha)
+    rows = failing.to_dict()["witnesses"] + tied.to_dict()["witnesses"]
+    for oracle in (bayes_oracle(model, Fraction(1, 2)), map_oracle(model)):
+        assert not oracle.query(delta, alpha)
+        assert not oracle.monotonic_base(delta, alpha)
+    assert built == [] and len(rows) == 9 + 12
+    assert [v.index for v in failing.witnesses] == built == [4, 5, 6, 8, 9, 10, 12, 13, 14]
+    assert failing.witnesses is failing.witnesses and len(built) == 9
+    assert len(tied.witnesses) == 12 and len(built) == 21
 
 
 class TestClassical:
@@ -242,3 +304,72 @@ def test_map_entails_witnesses_are_the_map_set_in_index_order(model, delta, alph
         assert map_mask(model, premise_mask(delta, _TABLE)) == sum(
             1 << v.index for v in found
         )
+
+
+# --- witnesses and rows against brute force ------------------------------
+
+
+def formula_of(mask, table):
+    """A formula whose truth mask is mask: the disjunction of its minterms."""
+    n = len(table)
+    f = Bottom()
+    for i in range(table.num_valuations):
+        if (mask >> i) & 1:
+            term = Top()
+            for k, s in enumerate(table):
+                term = And(term, Atom(s) if (i >> (n - 1 - k)) & 1 else Not(Atom(s)))
+            f = Or(f, term)
+    return f
+
+
+def rows_of(indices, table):
+    n = len(table)
+    return [
+        {"index": i, "assignment": {s: (i >> (n - 1 - k)) & 1 for k, s in enumerate(table)}}
+        for i in indices
+    ]
+
+
+def check_witnesses(verdict, expected, table):
+    assert verdict.to_dict()["witnesses"] == rows_of(expected, table)
+    assert [v.index for v in verdict.witnesses] == expected
+    assert all(v.table == table for v in verdict.witnesses)
+    assert verdict.to_dict()["witnesses"] == rows_of(expected, table)
+
+
+@given(integer_worlds(), st.data())
+def test_verdict_witnesses_equal_brute_force(model, data):
+    table, weights = model.table, model.weights
+    full = (1 << len(weights)) - 1
+    dmask = data.draw(masks_of(model) | st.just(full))
+    amask = data.draw(masks_of(model))
+    omega = data.draw(st.fractions(0, 1))
+    delta, alpha = {formula_of(dmask, table)}, formula_of(amask, table)
+    models = [i for i in range(len(weights)) if (dmask >> i) & 1 and weights[i]]
+    kept = sum(weights[i] for i in models)
+    hits = [i for i in models if (amask >> i) & 1]
+
+    bayes = bayes_entails(model, delta, alpha, omega)
+    if kept == 0:
+        assert bayes.vacuous and bayes.holds and bayes.probability is None
+        check_witnesses(bayes, [], table)
+    else:
+        p = Fraction(sum(weights[i] for i in hits), kept)
+        assert bayes.probability == p and bayes.holds == (p >= omega)
+        assert bayes_entails(model, delta, alpha, p).holds
+        countermodels = [i for i in models if i not in hits]
+        check_witnesses(bayes, [] if p >= omega else countermodels, table)
+
+    best = max((weights[i] for i in models), default=None)
+    winners = [i for i in models if weights[i] == best]
+    for mode in (UNIVERSAL, EXISTENTIAL):
+        verdict = map_entails(model, delta, alpha, mode)
+        if not winners:
+            assert verdict.vacuous and verdict.probability is None
+            check_witnesses(verdict, [], table)
+            continue
+        won = [i for i in winners if (amask >> i) & 1]
+        assert verdict.probability == Fraction(len(won), len(winners))
+        expected = won == winners if mode == UNIVERSAL else bool(won)
+        assert verdict.holds == expected
+        check_witnesses(verdict, winners, table)

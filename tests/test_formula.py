@@ -47,6 +47,18 @@ def test_valuation_is_a_frozen_value():
     assert copy.copy(v) == v and pickle.loads(pickle.dumps(v)) == v
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_table_assignment_matches_the_valuation_bits(n):
+    t = SymbolTable([f"p{k}" for k in range(n)])
+    for index in range(t.num_valuations):
+        bits = [(index >> (n - 1 - k)) & 1 for k in range(n)]
+        assert t.assignment(index) == dict(zip(t.symbols, bits))
+        assert Valuation(t, index).assignment() == t.assignment(index)
+    for index in (-1, t.num_valuations):
+        with pytest.raises(ValueError, match="out of range"):
+            t.assignment(index)
+
+
 class TestSymbolTable:
     def test_order_and_lookup(self):
         t = SymbolTable(["a", "b", "c"])

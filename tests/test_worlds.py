@@ -1,8 +1,9 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bayent import (
@@ -22,7 +23,7 @@ from bayent import (
     world_from_dict,
     world_to_dict,
 )
-from bayent.worlds import _ratio, exact, premise_mask
+from bayent.worlds import _indices, _ratio, exact, premise_mask
 
 from test_formula import formulas, _TABLE
 
@@ -400,3 +401,43 @@ def test_loader_keeps_row_messages(assignment, message):
 def test_fraction_argument_is_kept():
     p = Fraction(1, 3)
     assert exact(p) is p
+
+
+# --- set-bit indices against brute force ---------------------------------
+
+WIDTHS = (1, 8, 255, 256, 257, 4096, 1 << 16, (1 << 16) + 9, 1 << 17)
+
+
+@st.composite
+def wide_masks(draw):
+    """Masks up to 2^17 bits wide: zero, the top bit alone, sparse sets, and
+    random masks of density 3/4 down to 1/128."""
+    width = draw(st.sampled_from(WIDTHS))
+    kind = draw(st.sampled_from(["zero", "top", "sparse", "dense"]))
+    if kind == "zero":
+        return 0
+    if kind == "top":
+        return 1 << (width - 1)
+    if kind == "sparse":
+        mask = 0
+        for i in draw(st.lists(st.integers(0, width - 1), max_size=40)):
+            mask |= 1 << i
+        return mask
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mask = rng.getrandbits(width)
+    if draw(st.booleans()):
+        return mask | rng.getrandbits(width)
+    for _ in range(draw(st.integers(0, 6))):
+        mask &= rng.getrandbits(width)
+    return mask
+
+
+@given(wide_masks())
+@example(0)
+@example(1)
+@example(1 << 65535)
+@example(1 << (1 << 17))
+@example((1 << 65536) - 1)
+def test_indices_equal_brute_force(mask):
+    expected = [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+    assert _indices(mask) == expected
