@@ -75,7 +75,7 @@ class ConsequenceOracle:
 
 def classical_base(table):
     """Strict monotonic base: plain propositional entailment."""
-    full = (1 << table.num_valuations) - 1
+    full = table.full_mask
 
     def base(delta, alpha):
         return classical_entails(table, delta, alpha)
@@ -296,7 +296,7 @@ def check_property(oracle, property_name, pool, premise_size_cap=1):
 
     table = pool.table
     items = list(zip(pool.formulas, pool.masks()))
-    full = (1 << table.num_valuations) - 1
+    full = table.full_mask
 
     deltas = [((), full)]
     for size in range(1, premise_size_cap + 1):

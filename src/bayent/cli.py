@@ -296,7 +296,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        # parsing, compiling and rendering recurse once per nesting level
+        # hashing, comparing and rendering a formula recurse once per level
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 

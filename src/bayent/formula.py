@@ -53,7 +53,7 @@ class SymbolTable:
     (all-false first, all-true last).
     """
 
-    __slots__ = ("symbols", "_positions", "num_valuations")
+    __slots__ = ("symbols", "_positions", "num_valuations", "full_mask")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -69,6 +69,7 @@ class SymbolTable:
         self.symbols = syms
         self._positions = {name: i for i, name in enumerate(syms)}
         self.num_valuations = 1 << len(syms)
+        self.full_mask = (1 << self.num_valuations) - 1
 
     def __len__(self):
         return len(self.symbols)
@@ -268,6 +269,9 @@ class Iff(Formula):
         return f"Iff({self.left!r}, {self.right!r})"
 
 
+_BINARY_NODES = frozenset((And, Or, Implies, Iff))
+
+
 def atoms(f):
     """Set of atom names occurring in f."""
     found = set()
@@ -326,27 +330,47 @@ def _atom_mask(n, bit):
 def truth_mask(f, table):
     """Bitmask of satisfying valuation indices: bit i set iff f holds at index i.
 
-    Only atom masks are cached; a composite costs a few big-int
-    operations per node.
+    An explicit-stack post-order walk, so any depth compiles. Only atom
+    masks are cached; a composite costs one big-int operation per node
+    (two for -> and <->).
     """
-    full = (1 << table.num_valuations) - 1
-    if isinstance(f, Atom):
-        return _atom_mask(len(table), len(table) - 1 - table.position(f.name))
-    if isinstance(f, Top):
-        return full
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Not):
-        return full ^ truth_mask(f.arg, table)
-    if isinstance(f, And):
-        return truth_mask(f.left, table) & truth_mask(f.right, table)
-    if isinstance(f, Or):
-        return truth_mask(f.left, table) | truth_mask(f.right, table)
-    if isinstance(f, Implies):
-        return (full ^ truth_mask(f.left, table)) | truth_mask(f.right, table)
-    if isinstance(f, Iff):
-        return full ^ truth_mask(f.left, table) ^ truth_mask(f.right, table)
-    raise TypeError(f"not a formula: {f!r}")
+    full = table.full_mask
+    n = len(table)
+    order = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node.__class__ is Not:
+            stack.append(node.arg)
+        elif node.__class__ in _BINARY_NODES:
+            stack.append(node.left)
+            stack.append(node.right)
+    # reversed pre-order (right child first) is post-order: left, right,
+    # node; a binary node pops its right operand first
+    masks = []
+    push, pop = masks.append, masks.pop
+    for node in reversed(order):
+        cls = node.__class__
+        if cls is Atom:
+            push(_atom_mask(n, n - 1 - table.position(node.name)))
+        elif cls is And:
+            push(pop() & pop())
+        elif cls is Or:
+            push(pop() | pop())
+        elif cls is Not:
+            push(full ^ pop())
+        elif cls is Implies:
+            push(pop() | (full ^ pop()))
+        elif cls is Iff:
+            push(full ^ pop() ^ pop())
+        elif cls is Top:
+            push(full)
+        elif cls is Bottom:
+            push(0)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return masks[0]
 
 
 # --- Rendering ---------------------------------------------------------
@@ -391,113 +415,84 @@ def render(f):
 
 # --- Parsing -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[a-z][a-z0-9_]*)|(?P<op><->|->|[~!&|()]))"
-)
+# Names, operators, and any other non-space character as a token of its
+# own: a stray character, reported only when the parse fails.
+_TOKEN_RE = re.compile(ATOM_RE.pattern + r"|<->|->|[~!&|()]|\S")
+_END = "<end>"
+_PREFIX = {"~": Not, "!": Not, "(": None}  # None marks an open parenthesis
+_BINARY = {"<->": Iff, "->": Implies, "|": Or, "&": And}
+_OPERATORS = frozenset(("~", "!", "(", ")", *_BINARY))
+# Stacked operators whose _PREC is at least the entry of the incoming one
+# are reduced first; right-associative operators enter one above their
+# own _PREC, and ")" and the end of text reduce every operator.
+_ENTRY = {Iff: 2, Implies: 3, Or: 3, And: 4, None: 1}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise SyntaxError_(f"unexpected character {text[where]!r}", where)
-        if m.group("name"):
-            tokens.append((m.group("name"), m.start("name")))
-        else:
-            tokens.append((m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("<end>", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, table):
-        self.tokens = tokens
-        self.table = table
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def pos(self):
-        return self.tokens[self.i][1]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, token):
-        if self.peek() != token:
-            raise SyntaxError_(f"expected {token!r}, found {self.peek()!r}", self.pos())
-        return self.advance()
-
-    def parse_iff(self):
-        left = self.parse_implies()
-        if self.peek() == "<->":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        tok, pos = self.tokens[self.i]
-        if tok in ("~", "!"):
-            self.advance()
-            return Not(self.parse_unary())
-        if tok == "(":
-            self.advance()
-            node = self.parse_iff()
-            self.expect(")")
-            return node
-        if tok == "true":
-            self.advance()
-            return Top()
-        if tok == "false":
-            self.advance()
-            return Bottom()
-        if ATOM_RE.fullmatch(tok):
-            self.advance()
-            if self.table is not None and tok not in self.table:
-                raise UnknownAtomError(tok)
-            return Atom(tok)
-        raise SyntaxError_(f"unexpected token {tok!r}", pos)
+def _positions(text):
+    """Offsets of the tokens of text, then len(text); raises at a stray character."""
+    positions = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if tok not in _OPERATORS and not ATOM_RE.fullmatch(tok):
+            raise SyntaxError_(f"unexpected character {tok!r}", m.start())
+        positions.append(m.start())
+    positions.append(len(text))
+    return positions
 
 
 def parse_formula(text, table=None):
-    """Parse text into a Formula, validating atoms against table when given."""
+    """Parse text into a Formula, validating atoms against table when given.
+
+    Operator precedence over an operand stack and an operator stack, so
+    any nesting depth parses. A stray character anywhere is reported
+    first; otherwise the first token, left to right, that cannot continue
+    the formula or names an atom missing from table.
+    """
     if text and not isinstance(text, str):
         raise FormulaError(f"formula must be a string, not {type(text).__name__}")
     if not text or not text.strip():
         raise SyntaxError_("empty formula", 0)
-    parser = _Parser(_tokenize(text), table)
-    node = parser.parse_iff()
-    if parser.peek() != "<end>":
-        raise SyntaxError_(f"unexpected token {parser.peek()!r}", parser.pos())
-    return node
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
+    leaves = {"true": Top(), "false": Bottom()}
+    operands = []
+    ops = []  # Not, binary node classes and open parentheses (None)
+    depth = 0
+    want_operand = True
+    for i, tok in enumerate(tokens):
+        if want_operand:
+            if tok in _PREFIX:
+                ops.append(_PREFIX[tok])
+                depth += tok == "("
+                continue
+            node = leaves.get(tok)
+            if node is None:
+                if not ATOM_RE.fullmatch(tok):
+                    raise SyntaxError_(f"unexpected token {tok!r}", _positions(text)[i])
+                if table is not None and tok not in table:
+                    _positions(text)  # a stray character outranks the atom
+                    raise UnknownAtomError(tok)
+                node = leaves[tok] = Atom(tok)
+        else:
+            cls = _BINARY.get(tok)
+            if cls is None and tok != (")" if depth else _END):
+                expected = "expected ')', found" if depth else "unexpected token"
+                raise SyntaxError_(f"{expected} {tok!r}", _positions(text)[i])
+            entry = _ENTRY[cls]
+            while ops and ops[-1] is not None and _PREC[ops[-1]] >= entry:
+                right = operands.pop()
+                operands[-1] = ops.pop()(operands[-1], right)
+            if cls is not None:
+                ops.append(cls)
+                want_operand = True
+                continue
+            if not depth:
+                return operands[0]
+            ops.pop()
+            depth -= 1
+            node = operands.pop()
+        while ops and ops[-1] is Not:
+            ops.pop()
+            node = Not(node)
+        operands.append(node)
+        want_operand = False

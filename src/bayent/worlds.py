@@ -62,7 +62,7 @@ def premises(*formulas):
 
 def premise_mask(formulas, table):
     """Bitmask of valuations satisfying every formula in the set."""
-    mask = (1 << table.num_valuations) - 1
+    mask = table.full_mask
     for f in formulas:
         mask &= truth_mask(f, table)
     return mask

@@ -139,13 +139,26 @@ class TestProb:
         assert "bad world row" in line
 
     @pytest.mark.parametrize(
-        "text",
-        ["a" + " & a" * 2999, "~" * 3000 + "a", "(" * 1500 + "a" + ")" * 1500],
+        "text, too_deep",
+        [
+            # parsing does not recurse, but hashing the premise set does
+            ("a" + " & a" * 2999, True),
+            ("~" * 3000 + "a", True),
+            # the parentheses leave a single atom behind
+            ("(" * 1500 + "a" + ")" * 1500, False),
+        ],
         ids=["and-chain", "negations", "parentheses"],
     )
-    def test_deep_formula(self, capsys, world_file, text):
-        line = run_input_error(capsys, "prob", "--world", world_file, "--premise", text)
-        assert line == "error: formula nested too deeply"
+    def test_deep_formula(self, capsys, world_file, text, too_deep):
+        argv = ["prob", "--world", world_file, "--premise"]
+        if too_deep:
+            line = run_input_error(capsys, *argv, text)
+            assert line == "error: formula nested too deeply"
+        else:
+            assert main([*argv, text]) == EXIT_YES
+            deep = capsys.readouterr()
+            assert main([*argv, "a"]) == EXIT_YES
+            assert deep == capsys.readouterr()
 
     def test_deep_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

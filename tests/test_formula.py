@@ -26,7 +26,9 @@ from bayent import (
     parse_formula,
     render,
 )
-from bayent.formula import _atom_mask, truth_mask
+from bayent.formula import Formula, FormulaError, _atom_mask, truth_mask
+
+from formula_oracle import _tokenize, old_parse_formula, old_truth_mask
 
 
 def test_valuation_is_a_frozen_value():
@@ -258,3 +260,100 @@ def test_only_atom_masks_are_cached_and_at_most_n_per_table_size():
             f = (f & Atom(f"p{i % n}")) if i % 2 else (f | ~Atom(f"p{(i * 7) % n}"))
             truth_mask(f, table)
     assert _atom_mask.cache_info().currsize <= sum(sizes)
+
+
+def test_full_mask_is_built_once_per_table():
+    for n in (1, 3, 16):
+        table = SymbolTable([f"p{i}" for i in range(n)])
+        assert table.full_mask == (1 << (1 << n)) - 1
+        assert truth_mask(Top(), table) is table.full_mask
+
+
+def test_truth_mask_rejects_non_formulas():
+    for bad in ("a", None, And(Atom("a"), "b")):
+        with pytest.raises(TypeError, match="not a formula"):
+            truth_mask(bad, _TABLE)
+
+
+def test_one_atom_object_per_name_within_a_parse():
+    f = parse_formula("a & (b | a) -> a", _TABLE)
+    assert f.left.left is f.left.right.right is f.right
+
+
+def test_deep_parentheses_parse_without_recursion():
+    assert parse_formula("(" * 100_000 + "a" + ")" * 100_000) == Atom("a")
+
+
+def test_deep_chain_compiles_without_recursion():
+    table = SymbolTable(["a", "b"])
+    f = Atom("a")
+    for _ in range(10_000):
+        f = Not(And(f, Atom("b")))
+    # two levels take g to ~(~(g & b) & b), which is g | ~b
+    assert truth_mask(f, table) == truth_mask(Or(Atom("a"), Not(Atom("b"))), table)
+
+
+# --- the explicit-stack front end against the recursive one ------------
+
+_BINARY_TOKEN = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_SOUP = [
+    "a", "b", "c", "zz", "true", "false", "~", "!", "&", "|", "->", "<->",
+    "(", ")", "$", "1", "_", "A", "<", "-", ">", "\u00e9", "<end>",
+]
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n", "\u00a0"])
+
+
+def _outcome(parse, text, table):
+    try:
+        return parse(text, table)
+    except FormulaError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _assert_same_as_recursive(text, table):
+    new = _outcome(parse_formula, text, table)
+    assert new == _outcome(old_parse_formula, text, table)
+    if isinstance(new, Formula) and table is not None:
+        assert truth_mask(new, table) == old_truth_mask(new, table)
+
+
+def _fully_parenthesised(f):
+    if isinstance(f, Not):
+        return f"(~{_fully_parenthesised(f.arg)})"
+    if type(f) in _BINARY_TOKEN:
+        left, right = _fully_parenthesised(f.left), _fully_parenthesised(f.right)
+        return f"({left} {_BINARY_TOKEN[type(f)]} {right})"
+    return render(f)
+
+
+def _respace(data, text):
+    """text's tokens, each ~ possibly as !, joined by drawn whitespace."""
+    out = data.draw(_SPACE)
+    for tok, _ in _tokenize(text)[:-1]:
+        if tok == "~" and data.draw(st.booleans()):
+            tok = "!"
+        out += tok + data.draw(_SPACE)
+    return out
+
+
+@given(formulas(), st.booleans(), st.data())
+def test_parse_matches_recursive_parser_on_rendered_formulas(f, full, data):
+    text = _respace(data, _fully_parenthesised(f) if full else render(f))
+    assert parse_formula(text, _TABLE) == f
+    _assert_same_as_recursive(text, _TABLE)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from(_SOUP), max_size=12),
+    st.data(),
+    st.sampled_from([_TABLE, None]),
+)
+def test_parse_matches_recursive_parser_on_token_soup(tokens, data, table):
+    text = "".join(tok + data.draw(_SPACE) for tok in tokens)
+    _assert_same_as_recursive(text, table)
+
+
+@given(st.text(alphabet="abz()~!&|-<>$ \t", max_size=16))
+def test_parse_matches_recursive_parser_on_raw_text(text):
+    _assert_same_as_recursive(text, _TABLE)
