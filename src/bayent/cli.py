@@ -25,6 +25,7 @@ from .formula import FormulaError, SymbolTable, parse_formula
 from .preferential import StructureError, structure_from_dict
 from .worlds import (
     WorldError,
+    checked_size,
     parse_premises,
     parse_rational,
     premise_mask,
@@ -61,9 +62,11 @@ def _load_world(path):
 
 def _parse_symbols(text):
     try:
-        return SymbolTable([s.strip() for s in text.split(",") if s.strip()])
-    except ValueError as exc:
+        table = SymbolTable([s.strip() for s in text.split(",") if s.strip()])
+        checked_size(table)  # premise masks have 2^n bits, as in a world
+    except (ValueError, WorldError) as exc:
         raise InputError(f"bad symbol list {text!r}: {exc}") from exc
+    return table
 
 
 def _parse_omega(text):

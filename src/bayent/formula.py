@@ -53,7 +53,7 @@ class SymbolTable:
     (all-false first, all-true last).
     """
 
-    __slots__ = ("symbols", "_positions", "num_valuations", "full_mask")
+    __slots__ = ("symbols", "_positions", "num_valuations", "_full_mask")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -69,7 +69,14 @@ class SymbolTable:
         self.symbols = syms
         self._positions = {name: i for i, name in enumerate(syms)}
         self.num_valuations = 1 << len(syms)
-        self.full_mask = (1 << self.num_valuations) - 1
+        self._full_mask = None
+
+    @property
+    def full_mask(self):
+        """(1 << 2^n) - 1, built on first read: a table has no size cap of its own."""
+        if self._full_mask is None:
+            self._full_mask = (1 << self.num_valuations) - 1
+        return self._full_mask
 
     def __len__(self):
         return len(self.symbols)
@@ -269,7 +276,10 @@ class Iff(Formula):
         return f"Iff({self.left!r}, {self.right!r})"
 
 
-_BINARY_NODES = frozenset((And, Or, Implies, Iff))
+# The grammar, for render and the parser (atoms and constants bind at 6).
+_TOKEN_OF = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+_RIGHT_ASSOC = (Implies, Iff)
 
 
 def atoms(f):
@@ -282,9 +292,8 @@ def atoms(f):
             found.add(node.name)
         elif isinstance(node, Not):
             stack.append(node.arg)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
+        elif node.__class__ in _TOKEN_OF:
+            stack += node.left, node.right
     return found
 
 
@@ -343,9 +352,8 @@ def truth_mask(f, table):
         order.append(node)
         if node.__class__ is Not:
             stack.append(node.arg)
-        elif node.__class__ in _BINARY_NODES:
-            stack.append(node.left)
-            stack.append(node.right)
+        elif node.__class__ in _TOKEN_OF:
+            stack += node.left, node.right
     # reversed pre-order (right child first) is post-order: left, right,
     # node; a binary node pops its right operand first
     masks = []
@@ -374,10 +382,6 @@ def truth_mask(f, table):
 
 
 # --- Rendering ---------------------------------------------------------
-
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
-_TOKEN_OF = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
-_RIGHT_ASSOC = (Implies, Iff)
 
 
 def _prec(f):
@@ -420,12 +424,12 @@ def render(f):
 _TOKEN_RE = re.compile(ATOM_RE.pattern + r"|<->|->|[~!&|()]|\S")
 _END = "<end>"
 _PREFIX = {"~": Not, "!": Not, "(": None}  # None marks an open parenthesis
-_BINARY = {"<->": Iff, "->": Implies, "|": Or, "&": And}
+_BINARY = {tok: cls for cls, tok in _TOKEN_OF.items()}
 _OPERATORS = frozenset(("~", "!", "(", ")", *_BINARY))
 # Stacked operators whose _PREC is at least the entry of the incoming one
 # are reduced first; right-associative operators enter one above their
-# own _PREC, and ")" and the end of text reduce every operator.
-_ENTRY = {Iff: 2, Implies: 3, Or: 3, And: 4, None: 1}
+# own _PREC, and ")" and the end of text (None) reduce every operator.
+_ENTRY = {cls: _PREC[cls] + (cls in _RIGHT_ASSOC) for cls in _TOKEN_OF} | {None: 1}
 
 
 def _positions(text):
@@ -436,8 +440,7 @@ def _positions(text):
         if tok not in _OPERATORS and not ATOM_RE.fullmatch(tok):
             raise SyntaxError_(f"unexpected character {tok!r}", m.start())
         positions.append(m.start())
-    positions.append(len(text))
-    return positions
+    return positions + [len(text)]
 
 
 def parse_formula(text, table=None):
@@ -452,8 +455,7 @@ def parse_formula(text, table=None):
         raise FormulaError(f"formula must be a string, not {type(text).__name__}")
     if not text or not text.strip():
         raise SyntaxError_("empty formula", 0)
-    tokens = _TOKEN_RE.findall(text)
-    tokens.append(_END)
+    tokens = _TOKEN_RE.findall(text) + [_END]
     leaves = {"true": Top(), "false": Bottom()}
     operands = []
     ops = []  # Not, binary node classes and open parentheses (None)

@@ -136,7 +136,7 @@ def _planes(weights):
     return tuple(planes)
 
 
-def _checked_size(table):
+def checked_size(table):
     """Number of valuations of table, once it is known to be within the cap."""
     if len(table) > MAX_SYMBOLS:
         raise WorldError(
@@ -156,7 +156,7 @@ class WorldModel:
     """
 
     def __init__(self, table, probs):
-        _checked_size(table)
+        checked_size(table)
         entries = [exact(p) for p in probs]
         self._set_weights(
             table, [p.numerator for p in entries], [p.denominator for p in entries]
@@ -326,7 +326,7 @@ def world_from_dict(data):
         raise WorldError(str(exc)) from exc
     if not isinstance(rows, list):
         raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
-    size = _checked_size(table)
+    size = checked_size(table)
     n = len(table)
     place = {name: 1 << (n - 1 - k) for k, name in enumerate(table.symbols)}
     nums = [None] * size

@@ -160,6 +160,15 @@ class TestProb:
             assert main([*argv, "a"]) == EXIT_YES
             assert deep == capsys.readouterr()
 
+    @pytest.mark.parametrize("n", [21, 40, 64])
+    def test_too_many_symbols(self, capsys, tmp_path, n):
+        # at 40 a 2^n-bit mask takes GiB and at 64 it overflows: the cap
+        # must be checked before any mask is built
+        body = {"symbols": [f"s{i}" for i in range(n)], "worlds": []}
+        path = write_json(tmp_path, "wide.json", body)
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "s0")
+        assert line.endswith(f": {n} symbols exceeds the enumeration cap of 20")
+
     def test_deep_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -245,6 +254,19 @@ class TestPrefEntail:
             capsys, "pref-entail", "--structure", path, "--symbols", "a,b", "--conclusion", "a"
         )
         assert message in line
+
+    @pytest.mark.parametrize("n", [21, 40, 64])
+    @pytest.mark.parametrize(
+        "verb", [["pref-entail", "--conclusion", "s0"], ["audit", "--property", "or"]]
+    )
+    def test_too_many_symbols(self, capsys, structure_file, verb, n):
+        # premise masks have 2^n bits, so --symbols has the worlds' cap
+        symbols = ",".join(f"s{i}" for i in range(n))
+        line = run_input_error(
+            capsys, *verb, "--structure", structure_file, "--symbols", symbols
+        )
+        assert line.startswith("error: bad symbol list ")
+        assert line.endswith(f": {n} symbols exceeds the enumeration cap of 20")
 
     def test_holds(self, capsys, structure_file):
         code, out = run(

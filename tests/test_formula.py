@@ -269,6 +269,13 @@ def test_full_mask_is_built_once_per_table():
         assert truth_mask(Top(), table) is table.full_mask
 
 
+def test_wide_table_builds_no_mask_until_read():
+    # callers check their symbol caps after the table exists; a 2^64-bit
+    # full mask built in __init__ would overflow before any cap is seen
+    table = SymbolTable([f"p{i}" for i in range(64)])
+    assert len(table) == 64 and table.num_valuations == 1 << 64
+
+
 def test_truth_mask_rejects_non_formulas():
     for bad in ("a", None, And(Atom("a"), "b")):
         with pytest.raises(TypeError, match="not a formula"):
