@@ -5,9 +5,12 @@ exhaustively instantiates a property's quantifiers over a finite
 formula pool and either passes or returns the first counterexample in
 enumeration order, with a full numeric trace.
 
-Enumeration works on truth-table bitmasks, so the per-case cost is a
-couple of dictionary lookups; a counterexample is always re-checked
-through the oracle's formula-level query before being reported.
+Each property is one entry of PROPERTY_TABLE, read twice. The search
+works on relation rows: row(d) is the bitset over pool positions j of
+the oracle's mask-level query from premise mask d to pool[j], so one
+big-int AND tests a whole column of cases. A counterexample is then
+re-checked from the same entry through the oracle's formula-level query
+before being reported.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache, partial, reduce
+from itertools import combinations, product
+from math import comb
+from operator import and_, or_
 from typing import Callable, Optional
 
 from .formula import And, Atom, Bottom, Not, Or, SymbolTable, Top, render, truth_mask
@@ -29,22 +35,16 @@ from .entail import (
     map_mask,
 )
 
-PROPERTIES = (
-    "reflexivity",
-    "monotony",
-    "cut",
-    "supraclassicality",
-    "cautious_monotony",
-    "classical_cautious_monotony",
-    "classical_cut",
-    "or",
-)
-
 STRICT = "strict"
 SUPPORT_RELATIVE = "support-relative"
 
 MAX_POOL_DEPTH = 3
 MAX_POOL_SYMBOLS = 3
+# One memo entry per premise mask over the largest pool table.
+MEMO_SIZE = 1 << (1 << MAX_POOL_SYMBOLS)
+# Cases one check may enumerate: above the 66,339,000 of `or` over the
+# 90-formula pool of three symbols at premise cap 1.
+MAX_CASES = 10**8
 
 
 class AuditError(Exception):
@@ -60,16 +60,16 @@ class ConsequenceOracle:
 
     query judges the relation under audit; monotonic_base is the
     monotonic relation used inside the Classical properties and
-    Supraclassicality. mask_query/mask_base are equivalent fast paths
-    over satisfying-set bitmasks; trace returns the probabilities
-    behind one query for counterexample reports.
+    Supraclassicality. mask_query/mask_base are the same relations over
+    satisfying-set bitmasks; trace returns the probabilities behind one
+    query for counterexample reports.
     """
 
     label: str
     query: Callable
     monotonic_base: Callable
-    mask_query: Optional[Callable] = None
-    mask_base: Optional[Callable] = None
+    mask_query: Callable
+    mask_base: Callable
     trace: Optional[Callable] = None
 
 
@@ -102,14 +102,15 @@ def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
     """Oracle for the threshold entailment of a world model."""
     w = check_threshold(omega)
     p, q = w.numerator, w.denominator
+    weight = lru_cache(MEMO_SIZE)(model.weight)
 
     def query(delta, alpha):
         return bayes_entails(model, delta, alpha, w).holds
 
     def mask_query(dmask, amask):
         # p(alpha | delta) >= w = p/q, cross-multiplied over the integer weights
-        kept = model.weight(dmask)
-        return kept == 0 or model.weight(dmask & amask) * q >= p * kept
+        kept = weight(dmask)
+        return kept == 0 or weight(dmask & amask) * q >= p * kept
 
     def trace(delta, alpha):
         denom = model.prob(delta)
@@ -121,69 +122,45 @@ def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
         }
 
     base_fn, base_mask = _pick_base(base, model)
-    return ConsequenceOracle(
-        label=f"threshold-{w}",
-        query=query,
-        monotonic_base=base_fn,
-        mask_query=mask_query,
-        mask_base=base_mask,
-        trace=trace,
-    )
+    return ConsequenceOracle(f"threshold-{w}", query, base_fn, mask_query, base_mask, trace)
 
 
 def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
     """Oracle for the MAP entailment of a world model."""
+    map_of = lru_cache(MEMO_SIZE)(partial(map_mask, model))
 
     def query(delta, alpha):
         return map_entails(model, delta, alpha, mode).holds
 
     def mask_query(dmask, amask):
-        winners = map_mask(model, dmask)
+        winners = map_of(dmask)
         if winners == 0:
             return True
         hit = winners & amask
         return hit == winners if mode == UNIVERSAL else hit != 0
 
     base_fn, base_mask = _pick_base(base, model)
-    return ConsequenceOracle(
-        label=f"map-{mode}",
-        query=query,
-        monotonic_base=base_fn,
-        mask_query=mask_query,
-        mask_base=base_mask,
-    )
+    return ConsequenceOracle(f"map-{mode}", query, base_fn, mask_query, base_mask)
 
 
 def pref_oracle(structure, base=STRICT):
     """Oracle for the preferential entailment of a structure."""
-    table = structure.table
+    maximal = lru_cache(MEMO_SIZE)(structure.maximal_mask)
 
     def query(delta, alpha):
         return structure.pref_entails(delta, alpha)
 
     def mask_query(dmask, amask):
-        return not structure.maximal_mask(dmask) & ~amask
+        return not maximal(dmask) & ~amask
 
-    base_fn, base_mask = classical_base(table)
-    return ConsequenceOracle(
-        label="preferential",
-        query=query,
-        monotonic_base=base_fn,
-        mask_query=mask_query,
-        mask_base=base_mask,
-    )
+    base_fn, base_mask = classical_base(structure.table)
+    return ConsequenceOracle("preferential", query, base_fn, mask_query, base_mask)
 
 
 def classical_oracle(table):
     """The propositional entailment itself, as an oracle."""
     base_fn, base_mask = classical_base(table)
-    return ConsequenceOracle(
-        label="classical",
-        query=base_fn,
-        monotonic_base=base_fn,
-        mask_query=base_mask,
-        mask_base=base_mask,
-    )
+    return ConsequenceOracle("classical", base_fn, base_fn, base_mask, base_mask)
 
 
 def _pick_base(base, model):
@@ -238,27 +215,56 @@ def enumerate_pool(table, max_depth):
     add(Top())
     add(Bottom())
 
-    level = list(by_mask.values())
     for _ in range(max_depth):
         previous = list(by_mask.values())
-        fresh = []
-        for i, f in enumerate(previous):
+        for f in previous:
             for g in previous:
-                for node in (And(f, g), Or(f, g)):
-                    if add(node):
-                        fresh.append(node)
+                add(And(f, g))
+                add(Or(f, g))
         # negation closure at no extra depth, including over this level's output
-        frontier = previous + fresh
+        frontier = list(by_mask.values())
         while frontier:
-            nxt = []
-            for f in frontier:
-                node = Not(f)
-                if add(node):
-                    nxt.append(node)
-            frontier = nxt
-        level = list(by_mask.values())
+            frontier = [node for node in map(Not, frontier) if add(node)]
 
-    return FormulaPool(table=table, max_depth=max_depth, formulas=tuple(level))
+    return FormulaPool(table, max_depth, tuple(by_mask.values()))
+
+
+# --- Property table ----------------------------------------------------
+
+# Each property, in the style of Kraus, Lehmann & Magidor (1990): the
+# pool variables in enumeration order (after the premise set D), then
+# antecedents => consequent. "X |~ c" is the relation under audit and
+# "X |- c" its monotonic base; X is D, or D plus one more premise: a
+# variable, or the `or` of two.
+_RULES = {
+    "reflexivity": "alpha: D,alpha |~ alpha",
+    "monotony": "alpha beta: D |~ alpha => D,beta |~ alpha",
+    "cut": "beta alpha: D |~ beta, D,beta |~ alpha => D |~ alpha",
+    "supraclassicality": "alpha: D |- alpha => D |~ alpha",
+    "cautious_monotony": "alpha beta: D |~ beta, D |~ alpha => D,beta |~ alpha",
+    "classical_cautious_monotony": "alpha beta: D |- beta, D |~ alpha => D,beta |~ alpha",
+    "classical_cut": "beta alpha: D |- beta, D,beta |~ alpha => D |~ alpha",
+    "or": "alpha beta gamma: D,alpha |~ gamma, D,beta |~ gamma => D,alpha|beta |~ gamma",
+}
+
+
+def _literal(text):
+    """(turnstile, extra-premise variables, conclusion) from "D,beta |~ alpha"."""
+    premises, turnstile, conclusion = text.split()
+    extra = premises.split(",")[1:]
+    return turnstile, tuple(extra[0].split("|")) if extra else (), conclusion
+
+
+def _rule(text):
+    """(variables, antecedents, consequent) from one _RULES entry."""
+    variables, body = text.split(": ")
+    *antecedents, consequent = body.split(" => ")
+    antecedents = antecedents[0].split(", ") if antecedents else []
+    return tuple(variables.split()), [_literal(a) for a in antecedents], _literal(consequent)
+
+
+PROPERTY_TABLE = {name: _rule(text) for name, text in _RULES.items()}
+PROPERTIES = tuple(PROPERTY_TABLE)
 
 
 # --- Property checking -------------------------------------------------
@@ -273,15 +279,25 @@ class AuditReport:
     counterexample: Optional[dict] = None
 
     def to_dict(self):
-        out = {
-            "property": self.property,
-            "oracle": self.oracle,
-            "verdict": self.verdict,
-            "cases_checked": self.cases_checked,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
+
+
+def case_count(property_name, pool_size, premise_size_cap=1):
+    """Cases in one exhaustive check: premise sets times pool-variable tuples."""
+    premise_sets = 1 + sum(comb(pool_size, s) for s in range(1, premise_size_cap + 1))
+    return premise_sets * pool_size ** len(PROPERTY_TABLE[property_name][0])
+
+
+def _budgeted_cases(property_name, pool, premise_size_cap):
+    if property_name not in PROPERTY_TABLE:
+        raise AuditError(f"unknown property {property_name!r}")
+    cases = case_count(property_name, len(pool), premise_size_cap)
+    if cases > MAX_CASES:
+        raise AuditError(
+            f"{property_name} over {len(pool)} formulas at premise cap "
+            f"{premise_size_cap} is {cases:,} cases, over the budget of {MAX_CASES:,}"
+        )
+    return cases
 
 
 def check_property(oracle, property_name, pool, premise_size_cap=1):
@@ -289,200 +305,123 @@ def check_property(oracle, property_name, pool, premise_size_cap=1):
 
     Premise sets range over subsets of the pool up to the size cap;
     the other quantifiers range over the whole pool. Passing only means
-    no counterexample within the pool.
+    no counterexample within the pool. A counterexample is the violating
+    tuple of lowest rank in the property's enumeration order, and
+    cases_checked counts every tuple up to it.
     """
-    if property_name not in PROPERTIES:
-        raise AuditError(f"unknown property {property_name!r}")
-
-    table = pool.table
-    items = list(zip(pool.formulas, pool.masks()))
-    full = table.full_mask
-
-    deltas = [((), full)]
+    cases = _budgeted_cases(property_name, pool, premise_size_cap)
+    rule = PROPERTY_TABLE[property_name]
+    masks = pool.masks()
+    deltas = [((), pool.table.full_mask)]
     for size in range(1, premise_size_cap + 1):
-        for combo in combinations(items, size):
-            dmask = full
-            for _, m in combo:
-                dmask &= m
-            deltas.append((tuple(f for f, _ in combo), dmask))
+        for combo in combinations(range(len(pool)), size):
+            deltas.append((combo, reduce(and_, [masks[j] for j in combo])))
 
-    if oracle.mask_query is None or oracle.mask_base is None:
-        raise AuditError(f"oracle {oracle.label!r} lacks a mask-level query")
+    found = _first_violation(rule, oracle, [d for _, d in deltas], masks)
+    if found is None:
+        return AuditReport(property_name, oracle.label, "pass", cases)
+    index, positions = found
+    rank = reduce(lambda r, j: r * len(pool) + j, positions, index)
+    delta = [pool.formulas[j] for j in deltas[index][0]]
+    binding = {name: pool.formulas[j] for name, j in zip(rule[0], positions)}
+    _, extra, conclusion = rule[2]
+    if conclusion in extra:  # reflexivity reports alpha among the premises
+        delta.append(binding[conclusion])
+    detail = _replay(oracle, rule, delta, binding)
+    return AuditReport(property_name, oracle.label, "counterexample", rank + 1, detail)
 
-    query_cache = {}
 
-    def q(dmask, amask):
-        key = (dmask, amask)
-        if key not in query_cache:
-            query_cache[key] = oracle.mask_query(dmask, amask)
-        return query_cache[key]
+def _first_violation(rule, oracle, dmasks, masks):
+    """(premise-set index, pool positions) of the lowest-rank violation, or None.
 
-    base_cache = {}
+    The column variable is the consequent's conclusion. A literal
+    concluding it reads a whole relation row (bit j: the query from its
+    premise mask to pool[j]), any other literal one bit of a row, so for
+    fixed values of the other variables the violations over the column
+    are one bitset: the AND of the antecedents with the negated
+    consequent. Literals that read no other variable are read once per
+    premise set.
+    """
+    variables, antecedents, consequent = rule
+    n = len(masks)
+    ones = (1 << n) - 1
+    bits = [1 << j for j in range(n)]
+    slot = {name: i for i, name in enumerate(variables)}
+    column = slot[consequent[2]]
+    queries = {"|~": oracle.mask_query, "|-": oracle.mask_base}
+    rows = {}
 
-    def qbase(dmask, amask):
-        key = (dmask, amask)
-        if key not in base_cache:
-            base_cache[key] = oracle.mask_base(dmask, amask)
-        return base_cache[key]
+    def row(turnstile, d):
+        if (turnstile, d) not in rows:
+            query = queries[turnstile]
+            rows[turnstile, d] = sum(b for b, m in zip(bits, masks) if query(d, m))
+        return rows[turnstile, d]
 
-    cases = 0
-    failure = None
+    def value(literal, d, values):
+        turnstile, extra, conclusion = literal
+        if column in extra:  # the conclusion is its own extra premise: the diagonal
+            query = queries[turnstile]
+            return sum(b for b, m in zip(bits, masks) if query(d & m, m))
+        if extra:
+            d &= reduce(or_, [masks[values[i]] for i in extra])
+        if conclusion == column:
+            return row(turnstile, d)
+        return ones if row(turnstile, d) >> values[conclusion] & 1 else 0
 
-    if property_name == "reflexivity":
-        for delta, dmask in deltas:
-            for alpha, amask in items:
-                cases += 1
-                if not q(dmask & amask, amask):
-                    failure = (delta + (alpha,), alpha, None, None)
-                    break
-            if failure:
-                break
+    def resolve(literal, flip):  # the consequent is flipped to its negation
+        turnstile, extra, conclusion = literal
+        return (turnstile, [slot[v] for v in extra], slot[conclusion]), flip
 
-    elif property_name in ("monotony", "cautious_monotony", "classical_cautious_monotony"):
-        for delta, dmask in deltas:
-            for alpha, amask in items:
-                if not q(dmask, amask):
-                    cases += len(items)
-                    continue
-                for beta, bmask in items:
-                    cases += 1
-                    if property_name == "cautious_monotony" and not q(dmask, bmask):
-                        continue
-                    if property_name == "classical_cautious_monotony" and not qbase(
-                        dmask, bmask
-                    ):
-                        continue
-                    if not q(dmask & bmask, amask):
-                        failure = (delta, alpha, beta, None)
+    literals = [resolve(a, 0) for a in antecedents] + [resolve(consequent, ones)]
+    fixed = [(lit, flip) for lit, flip in literals if {*lit[1], lit[2]} == {column}]
+    varying = [pair for pair in literals if pair not in fixed]
+
+    after = len(variables) - column - 1
+    for index, d in enumerate(dmasks):
+        start = ones
+        for literal, flip in fixed:
+            start &= value(literal, d, ()) ^ flip
+        if not start:
+            continue
+        for prefix in product(range(n), repeat=column):
+            union, hits = 0, []
+            for suffix in product(range(n), repeat=after):
+                values = (*prefix, None, *suffix)
+                bad = start
+                for literal, flip in varying:
+                    bad &= value(literal, d, values) ^ flip
+                    if not bad:
                         break
-                if failure:
-                    break
-            if failure:
-                break
-
-    elif property_name in ("cut", "classical_cut"):
-        for delta, dmask in deltas:
-            for beta, bmask in items:
-                if property_name == "cut":
-                    if not q(dmask, bmask):
-                        cases += len(items)
-                        continue
-                elif not qbase(dmask, bmask):
-                    cases += len(items)
-                    continue
-                for alpha, amask in items:
-                    cases += 1
-                    if q(dmask & bmask, amask) and not q(dmask, amask):
-                        failure = (delta, alpha, beta, None)
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-
-    elif property_name == "supraclassicality":
-        for delta, dmask in deltas:
-            for alpha, amask in items:
-                cases += 1
-                if qbase(dmask, amask) and not q(dmask, amask):
-                    failure = (delta, alpha, None, None)
-                    break
-            if failure:
-                break
-
-    elif property_name == "or":
-        for delta, dmask in deltas:
-            for alpha, amask in items:
-                for beta, bmask in items:
-                    for gamma, gmask in items:
-                        cases += 1
-                        if not q(dmask & amask, gmask):
-                            continue
-                        if not q(dmask & bmask, gmask):
-                            continue
-                        if not q(dmask & (amask | bmask), gmask):
-                            failure = (delta, alpha, beta, gamma)
-                            break
-                    if failure:
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-
-    if failure is None:
-        return AuditReport(
-            property=property_name,
-            oracle=oracle.label,
-            verdict="pass",
-            cases_checked=cases,
-        )
-
-    delta, alpha, beta, gamma = failure
-    detail = _replay(oracle, property_name, delta, alpha, beta, gamma)
-    return AuditReport(
-        property=property_name,
-        oracle=oracle.label,
-        verdict="counterexample",
-        cases_checked=cases,
-        counterexample=detail,
-    )
+                else:
+                    union |= bad
+                    hits.append((suffix, bad))
+            if union:
+                j = (union & -union).bit_length() - 1
+                suffix = next(s for s, bad in hits if bad >> j & 1)
+                return index, (*prefix, j, *suffix)
+    return None
 
 
-def _replay(oracle, property_name, delta, alpha, beta, gamma):
+def _holds(oracle, literal, dset, binding):
+    turnstile, extra, conclusion = literal
+    query = oracle.query if turnstile == "|~" else oracle.monotonic_base
+    if extra:
+        dset = dset | {reduce(Or, [binding[v] for v in extra])}
+    return query(dset, binding[conclusion])
+
+
+def _replay(oracle, rule, delta, binding):
     """Re-check a counterexample at the formula level and build its trace."""
+    _, antecedents, consequent = rule
     dset = frozenset(delta)
-    detail = {
-        "premises": sorted(render(f) for f in delta),
-        "alpha": render(alpha),
-    }
-    if beta is not None:
-        detail["beta"] = render(beta)
-    if gamma is not None:
-        detail["gamma"] = render(gamma)
-
-    if property_name == "reflexivity":
-        violated = not oracle.query(dset | {alpha}, alpha)
-    elif property_name == "monotony":
-        violated = oracle.query(dset, alpha) and not oracle.query(dset | {beta}, alpha)
-    elif property_name == "cautious_monotony":
-        violated = (
-            oracle.query(dset, beta)
-            and oracle.query(dset, alpha)
-            and not oracle.query(dset | {beta}, alpha)
-        )
-    elif property_name == "classical_cautious_monotony":
-        violated = (
-            oracle.monotonic_base(dset, beta)
-            and oracle.query(dset, alpha)
-            and not oracle.query(dset | {beta}, alpha)
-        )
-    elif property_name == "cut":
-        violated = (
-            oracle.query(dset, beta)
-            and oracle.query(dset | {beta}, alpha)
-            and not oracle.query(dset, alpha)
-        )
-    elif property_name == "classical_cut":
-        violated = (
-            oracle.monotonic_base(dset, beta)
-            and oracle.query(dset | {beta}, alpha)
-            and not oracle.query(dset, alpha)
-        )
-    elif property_name == "supraclassicality":
-        violated = oracle.monotonic_base(dset, alpha) and not oracle.query(dset, alpha)
-    elif property_name == "or":
-        violated = (
-            oracle.query(dset | {alpha}, gamma)
-            and oracle.query(dset | {beta}, gamma)
-            and not oracle.query(dset | {Or(alpha, beta)}, gamma)
-        )
-    else:  # pragma: no cover
-        raise AuditError(property_name)
-    if not violated:
+    held = [_holds(oracle, lit, dset, binding) for lit in (*antecedents, consequent)]
+    if held != [True] * len(antecedents) + [False]:
         raise AuditError("counterexample failed to replay; enumeration bug")
+    detail = {"premises": sorted(render(f) for f in delta)}
+    detail.update((name, render(binding[name])) for name in sorted(binding))
 
     if oracle.trace is not None:
+        alpha, beta, gamma = map(binding.get, ("alpha", "beta", "gamma"))
         traces = {"premises -> alpha": oracle.trace(dset, alpha)}
         if beta is not None:
             traces["premises,beta -> alpha"] = oracle.trace(dset | {beta}, alpha)
@@ -541,12 +480,7 @@ def random_world(table, seed, zero_fraction=0):
         raise ValueError("zero_fraction must lie in [0, 1]")
     rng = random.Random(seed)
     size = table.num_valuations
-    weights = []
-    for _ in range(size):
-        if rng.random() < zf:
-            weights.append(0)
-        else:
-            weights.append(rng.randint(1, 10_000))
+    weights = [0 if rng.random() < zf else rng.randint(1, 10_000) for _ in range(size)]
     if not any(weights):
         weights[rng.randrange(size)] = 1
     total = sum(weights)
@@ -565,7 +499,9 @@ OMEGA_GRID = (
 
 
 def theorem_suite(oracle, pool, premise_size_cap=1, properties=PROPERTIES):
-    """Run a batch of property checks against one oracle."""
+    """Run a batch of property checks against one oracle, each within budget."""
+    for name in properties:
+        _budgeted_cases(name, pool, premise_size_cap)
     return [
         check_property(oracle, name, pool, premise_size_cap) for name in properties
     ]

@@ -167,16 +167,14 @@ def _cmd_audit(args):
     oracle, table = _build_audit_oracle(args)
     try:
         pool = audit_mod.enumerate_pool(table, args.max_depth)
+        if args.property == "theorem-suite":
+            reports = audit_mod.theorem_suite(oracle, pool, args.premise_cap)
+        else:
+            reports = [
+                audit_mod.check_property(oracle, args.property, pool, args.premise_cap)
+            ]
     except audit_mod.AuditError as exc:
         raise InputError(str(exc)) from exc
-    if args.property == "theorem-suite":
-        reports = audit_mod.theorem_suite(oracle, pool, args.premise_cap)
-    else:
-        if args.property not in audit_mod.PROPERTIES:
-            raise InputError(f"unknown property {args.property!r}")
-        reports = [
-            audit_mod.check_property(oracle, args.property, pool, args.premise_cap)
-        ]
     payload = {"reports": [r.to_dict() for r in reports]}
     _emit(payload, args.pretty)
     failed = any(r.verdict != "pass" for r in reports)

@@ -264,3 +264,26 @@ def test_c12_temporal_collapse_and_trajectory_oracle():
         else:
             ok &= list(belief.weights) == expected
     report(12, "temporal engine collapses to static values and matches enumeration", ok)
+
+
+def test_c13_classically_cumulative_on_three_symbols():
+    # the paper's positive theorem again, over the 90-formula depth-2 pool
+    table = SymbolTable(["a", "b", "c"])
+    pool = enumerate_pool(table, 2)
+    start = time.perf_counter()
+    ok = len(pool) == 90
+    for seed in range(20):
+        model = random_world(table, seed, Fraction(1, 2) if seed % 2 else Fraction(0))
+        for omega in (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)):
+            for base in (STRICT, SUPPORT_RELATIVE):
+                oracle = bayes_oracle(model, omega, base=base)
+                for name in (
+                    "supraclassicality",
+                    "reflexivity",
+                    "classical_cautious_monotony",
+                    "classical_cut",
+                ):
+                    ok &= check_property(oracle, name, pool).verdict == "pass"
+    elapsed = time.perf_counter() - start
+    ok &= elapsed <= 30
+    report(13, f"classically cumulative on 20 three-symbol worlds ({elapsed:.1f}s)", ok)

@@ -1,26 +1,46 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayent import (
     OMEGA_GRID,
     PROPERTIES,
+    ConsequenceOracle,
     PreferentialStructure,
     SymbolTable,
+    WorldModel,
     bayes_oracle,
     check_property,
     classical_oracle,
     cut_counterexample_world,
     enumerate_pool,
+    map_oracle,
     monotony_counterexample_world,
     parse_formula,
     pref_oracle,
     random_world,
+    theorem_suite,
 )
-from bayent.audit import AuditError, STRICT, SUPPORT_RELATIVE
+from bayent import audit
+from bayent.audit import (
+    MAX_CASES,
+    MEMO_SIZE,
+    STRICT,
+    SUPPORT_RELATIVE,
+    AuditError,
+    case_count,
+    classical_base,
+)
 from bayent.formula import truth_mask
+from bayent.worlds import premise_mask
 
+from audit_oracle import old_check_property
 from conftest import EXAMPLE_EDGES
+
+AB = SymbolTable(["a", "b"])
+ABC = SymbolTable(["a", "b", "c"])
 
 
 class TestEnumeratePool:
@@ -199,3 +219,126 @@ class TestMargins:
         margin = omega - w.prob({ab_f})
         assert margin == omega * (1 - omega)
         assert margin > 0
+
+
+def test_oracle_needs_mask_level_queries():
+    with pytest.raises(TypeError):
+        ConsequenceOracle("bare", lambda d, a: True, lambda d, a: True)
+
+
+# --- Differential test against the earlier per-property loops ---------
+
+POOLS = [(AB, 0), (AB, 1), (AB, 2), (ABC, 1)]
+
+
+@st.composite
+def oracles(draw, table):
+    kind = draw(st.sampled_from(["threshold", "map", "pref", "classical", "arbitrary"]))
+    size = table.num_valuations
+    if kind == "classical":
+        return classical_oracle(table)
+    if kind == "arbitrary":  # a relation with no structure, so any property can fail
+        seed = draw(st.integers(0, 2**16))
+
+        def mask_query(dmask, amask):
+            return hash((seed, dmask, amask)) % 8 != 0
+
+        def query(delta, alpha):
+            return mask_query(premise_mask(delta, table), truth_mask(alpha, table))
+
+        base, mask_base = classical_base(table)
+        return ConsequenceOracle("arbitrary", query, base, mask_query, mask_base)
+    if kind == "pref":
+        universe = draw(st.sets(st.integers(0, size - 1), min_size=1))
+        pairs = [(i, j) for i in sorted(universe) for j in sorted(universe) if i < j]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return pref_oracle(PreferentialStructure(table, universe, edges))
+    weights = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    if not any(weights):
+        weights[draw(st.integers(0, size - 1))] = 1
+    model = WorldModel(table, [Fraction(w, sum(weights)) for w in weights])
+    base = draw(st.sampled_from([STRICT, SUPPORT_RELATIVE]))
+    if kind == "map":
+        return map_oracle(model, draw(st.sampled_from(["universal", "existential"])), base)
+    return bayes_oracle(model, draw(st.sampled_from(OMEGA_GRID + (1,))), base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reports_match_the_earlier_loops(data):
+    table, depth = data.draw(st.sampled_from(POOLS))
+    pool = enumerate_pool(table, depth)
+    cap = data.draw(st.integers(0, 2))
+    oracle = data.draw(oracles(table))
+    for name in PROPERTIES:
+        new = check_property(oracle, name, pool, cap).to_dict()
+        assert new == old_check_property(oracle, name, pool, cap).to_dict()
+
+
+# --- Engine work and budget ---------------------------------------------
+
+
+def test_suite_weighs_each_premise_mask_once(monkeypatch):
+    # the search weighs at most one mask per distinct premise mask; the
+    # formula-level replay of each counterexample goes through the engine
+    weigh = WorldModel.weight
+    replay = audit._replay
+    calls = {"search": 0, "replay": 0}
+    phase = ["search"]
+
+    def counted_weight(self, mask):
+        calls[phase[0]] += 1
+        return weigh(self, mask)
+
+    def counted_replay(*args):
+        phase[0] = "replay"
+        try:
+            return replay(*args)
+        finally:
+            phase[0] = "search"
+
+    monkeypatch.setattr(WorldModel, "weight", counted_weight)
+    monkeypatch.setattr(audit, "_replay", counted_replay)
+    pool = enumerate_pool(ABC, 2)
+    model = random_world(ABC, 3, 0)
+    reports = theorem_suite(bayes_oracle(model, Fraction(3, 5)), pool)
+    found = sum(r.verdict == "counterexample" for r in reports)
+    assert found >= 3
+    assert calls["search"] <= MEMO_SIZE == 256
+    # a replay makes at most 3 queries (2 weights each) and 6 traces (3 each)
+    assert calls["replay"] <= 24 * found
+    calls.update(search=0, replay=0)
+    reports = theorem_suite(bayes_oracle(model, 1), pool, properties=PROPERTIES[:-1])
+    assert all(r.verdict == "pass" for r in reports)
+    assert 0 < calls["search"] <= 256 and calls["replay"] == 0
+
+
+class TestCaseBudget:
+    @pytest.mark.parametrize("name", PROPERTIES)
+    @pytest.mark.parametrize("table,depth,cap", [(AB, 2, 0), (AB, 1, 2), (ABC, 1, 1)])
+    def test_count_is_the_passing_cases_checked(self, name, table, depth, cap):
+        pool = enumerate_pool(table, depth)
+        report = check_property(classical_oracle(table), name, pool, cap)
+        assert report.verdict == "pass"
+        assert report.cases_checked == case_count(name, len(pool), cap)
+
+    def test_closed_form(self):
+        assert case_count("or", 90, 1) == 91 * 90**3 == 66_339_000
+        assert case_count("or", 90, 3) == (1 + 90 + 4005 + 117_480) * 90**3
+        assert case_count("monotony", 16, 0) == 256
+        assert case_count("cut", 16, -1) == 256
+        assert case_count("reflexivity", 4, 9) == 2**4 * 4
+
+    def test_budget_sits_above_the_largest_count_in_use(self):
+        assert case_count("or", 90, 1) < MAX_CASES < case_count("or", 90, 2)
+
+    def test_over_budget_raises_before_any_work(self):
+        pool = enumerate_pool(ABC, 2)
+        queried = []
+        oracle = classical_oracle(ABC)
+        oracle.mask_query = lambda d, a: queried.append(d) or True
+        with pytest.raises(AuditError, match="over the budget"):
+            check_property(oracle, "or", pool, 3)
+        with pytest.raises(AuditError, match="over the budget"):
+            theorem_suite(oracle, pool, 2)
+        assert queried == []

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,39 @@ class TestAudit:
             "reflexivity",
         )
         assert code == EXIT_YES
+
+    @pytest.mark.parametrize(
+        "prop,cap,cases",
+        [("or", "3", "88,628,904,000"), ("theorem-suite", "2", "2,985,984,000")],
+    )
+    def test_over_budget_exits_at_once(self, capsys, tmp_path, prop, cap, cases):
+        # 3 symbols give the 90-formula pool; without a budget these ran for hours
+        world = world_to_dict(uniform_world(SymbolTable(["a", "b", "c"])))
+        path = write_json(tmp_path, "abc.json", world)
+        start = time.perf_counter()
+        line = run_input_error(
+            capsys,
+            "audit",
+            "--world",
+            path,
+            "--omega",
+            "3/5",
+            "--property",
+            prop,
+            "--premise-cap",
+            cap,
+        )
+        assert time.perf_counter() - start < 1
+        assert line == (
+            f"error: or over 90 formulas at premise cap {cap} is {cases} cases, "
+            "over the budget of 100,000,000"
+        )
+
+    def test_unknown_property_message(self, capsys, world_file):
+        line = run_input_error(
+            capsys, "audit", "--world", world_file, "--omega", "1", "--property", "x"
+        )
+        assert line == "error: unknown property 'x'"
 
 
 class TestSimulate:
