@@ -18,6 +18,7 @@ from .entail import (
     EXISTENTIAL,
     UNIVERSAL,
     bayes_entails,
+    check_threshold,
     map_entails,
     valuation_rows,
 )
@@ -60,6 +61,13 @@ def _load_world(path):
         raise InputError(f"bad world file {path}: {exc}") from exc
 
 
+def _load_structure(path, table):
+    try:
+        return structure_from_dict(_load_json(path), table)
+    except StructureError as exc:
+        raise InputError(f"bad structure file {path}: {exc}") from exc
+
+
 def _parse_symbols(text):
     try:
         table = SymbolTable([s.strip() for s in text.split(",") if s.strip()])
@@ -71,12 +79,9 @@ def _parse_symbols(text):
 
 def _parse_omega(text):
     try:
-        w = parse_rational(text)
-    except WorldError as exc:
+        return check_threshold(parse_rational(text))
+    except (WorldError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    if not 0 <= w <= 1:
-        raise InputError(f"threshold {w} outside [0, 1]")
-    return w
 
 
 def _parse_formulas(args, table):
@@ -129,10 +134,7 @@ def _cmd_map_entail(args):
 
 def _cmd_pref_entail(args):
     table = _parse_symbols(args.symbols)
-    try:
-        structure = structure_from_dict(_load_json(args.structure), table)
-    except StructureError as exc:
-        raise InputError(f"bad structure file {args.structure}: {exc}") from exc
+    structure = _load_structure(args.structure, table)
     delta, conclusion = _parse_formulas(args, table)
     holds = structure.pref_entails(delta, conclusion)
     maximal = structure.maximal_mask(premise_mask(delta, table))
@@ -145,11 +147,7 @@ def _build_audit_oracle(args):
     base = args.base
     if args.structure:
         table = _parse_symbols(args.symbols or "a,b")
-        try:
-            structure = structure_from_dict(_load_json(args.structure), table)
-        except StructureError as exc:
-            raise InputError(f"bad structure file {args.structure}: {exc}") from exc
-        return audit_mod.pref_oracle(structure), table
+        return audit_mod.pref_oracle(_load_structure(args.structure, table)), table
     if not args.world:
         raise InputError("audit needs either --world or --structure")
     model = _load_world(args.world)

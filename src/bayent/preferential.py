@@ -61,10 +61,7 @@ class PreferentialStructure:
             if not 0 <= i < table.num_valuations:
                 raise StructureError(f"universe index {i} out of range")
         self.universe_mask = _mask_of(self.universe, table.num_valuations)
-        try:
-            given = {(int(a), int(b)) for a, b in edges}
-        except TypeError as exc:
-            raise StructureError(f"edges must be [i, j] index pairs: {exc}") from exc
+        given = {(a, b) for a, b in edges}
         below = {}
         for a, b in given:
             if a not in self.universe or b not in self.universe:
@@ -179,13 +176,14 @@ def structure_from_dict(data, table):
         universe, edges = list(universe), list(edges)
     except TypeError as exc:
         raise StructureError(f"'universe' and 'edges' must be lists: {exc}") from exc
-    bad = [i for i in universe if not isinstance(i, int)]
+    # type(), not isinstance(): a JSON true is a bool, and bool subclasses int
+    bad = [i for i in universe if type(i) is not int]
     if bad:
         raise StructureError(f"universe index {bad[0]!r} is not an integer")
-    try:
-        structure = PreferentialStructure(table, universe, edges)
-    except (StructureError, ValueError) as exc:
-        raise StructureError(str(exc)) from exc
+    bad = [e for e in edges if type(e) is not list or list(map(type, e)) != [int, int]]
+    if bad:
+        raise StructureError(f"edges must be [i, j] index pairs, not {bad[0]!r}")
+    structure = PreferentialStructure(table, universe, edges)
     violations = structure.validate()
     if violations:
         raise StructureError("; ".join(violations))

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
+from operator import mul
 
 from .formula import FormulaError, truth_mask
 from .worlds import (
@@ -46,10 +48,7 @@ def _check_temporal_size(table):
 
 
 def identity_transition(size):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-        for i in range(size)
-    )
+    return sticky_transition(size, 0)
 
 
 def sticky_transition(size, epsilon):
@@ -57,90 +56,85 @@ def sticky_transition(size, epsilon):
     eps = exact(epsilon)
     if not 0 <= eps <= 1:
         raise TemporalError(f"epsilon {eps} outside [0, 1]")
-    if size == 1:
-        return identity_transition(1)
-    off = eps / (size - 1)
-    return tuple(
-        tuple(1 - eps if i == j else off for j in range(size))
-        for i in range(size)
-    )
+    stay, off = (1 - eps, eps / (size - 1)) if size > 1 else (Fraction(1), 0)
+    return tuple((off,) * i + (stay,) + (off,) * (size - 1 - i) for i in range(size))
 
 
 class TemporalModel:
     """Prior over valuations plus a transition matrix between them.
 
     Row r of the transition matrix is the distribution of the next
-    state given the current state has valuation index r.
+    state given the current state has valuation index r; columns[c]
+    holds column c as integers over one common denominator.
     """
 
     def __init__(self, table, prior, transition):
         _check_temporal_size(table)
+        try:
+            self._prior = WorldModel(table, prior)
+        except WorldError as exc:
+            raise TemporalError(f"bad prior: {exc}") from exc
         size = table.num_valuations
-        prior = tuple(exact(p) for p in prior)
-        if len(prior) != size:
-            raise TemporalError(f"prior needs {size} entries, got {len(prior)}")
-        if any(p < 0 for p in prior):
-            raise TemporalError("negative prior entry")
-        if sum(prior) != 1:
-            raise TemporalError(f"prior sums to {sum(prior)}, not 1")
         rows = tuple(tuple(exact(x) for x in row) for row in transition)
         if len(rows) != size or any(len(row) != size for row in rows):
             raise TemporalError(f"transition must be {size}x{size}")
-        for r, row in enumerate(rows):
-            if any(x < 0 for x in row):
+        den = lcm(*(x.denominator for row in rows for x in row))
+        int_rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        for r, row in enumerate(int_rows):
+            if min(row) < 0:
                 raise TemporalError(f"negative entry in transition row {r}")
-            if sum(row) != 1:
-                raise TemporalError(f"transition row {r} sums to {sum(row)}, not 1")
+            if sum(row) != den:
+                total = Fraction(sum(row), den)
+                raise TemporalError(f"transition row {r} sums to {total}, not 1")
         self.table = table
-        self.prior = prior
+        self.prior = self._prior.probs
         self.transition = rows
+        self.columns = tuple(zip(*int_rows))
 
     def prior_world(self):
-        return WorldModel(self.table, self.prior)
+        return self._prior
 
     def initial_belief(self):
-        return BeliefState(weights=self.prior, alive=True)
+        return BeliefState(self._prior.weights)
 
 
 @dataclass(frozen=True)
 class BeliefState:
-    """Filtered distribution over valuations; dead once all mass is gone."""
+    """Filtered distribution p(v_i) = counts[i] / sum(counts); dead when all are 0.
 
-    weights: tuple
-    alive: bool
+    The counts are divided by their gcd on construction, so equal beliefs are ==;
+    weights gives the probabilities as Fractions, in valuation index order.
+    """
+
+    counts: tuple
 
     def __post_init__(self):
-        total = sum(self.weights)
-        if self.alive and total != 1:
-            raise ValueError(f"alive belief sums to {total}, not 1")
-        if not self.alive and any(w != 0 for w in self.weights):
-            raise ValueError("dead belief must carry no mass")
+        g = gcd(*self.counts)
+        if g > 1:
+            object.__setattr__(self, "counts", tuple(c // g for c in self.counts))
+
+    @property
+    def alive(self):
+        return any(self.counts)
+
+    @property
+    def weights(self):
+        total = sum(self.counts) or 1
+        return tuple(Fraction(c, total) for c in self.counts)
 
     @staticmethod
     def dead(size):
-        return BeliefState(weights=(Fraction(0),) * size, alive=False)
+        return BeliefState((0,) * size)
 
 
 def filter_step(model, belief, delta):
-    """One predict-then-condition update of the belief."""
-    size = model.table.num_valuations
+    """One predict-then-condition update: a dot product per column the premises keep."""
     if not belief.alive:
         return belief
-    predicted = [
-        sum(
-            (belief.weights[r] * model.transition[r][c] for r in range(size)),
-            Fraction(0),
-        )
-        for c in range(size)
-    ]
-    dmask = premise_mask(delta, model.table)
-    conditioned = [
-        predicted[i] if (dmask >> i) & 1 else Fraction(0) for i in range(size)
-    ]
-    total = sum(conditioned)
-    if total == 0:
-        return BeliefState.dead(size)
-    return BeliefState(weights=tuple(w / total for w in conditioned), alive=True)
+    counts = belief.counts
+    keep = _selector(premise_mask(delta, model.table)).ljust(len(counts), b"\0")
+    dots = (sum(map(mul, counts, col)) if k else 0 for col, k in zip(model.columns, keep))
+    return BeliefState(tuple(dots))
 
 
 def run_filter(model, observations):
@@ -152,10 +146,7 @@ def run_filter(model, observations):
 
 
 def temporal_entails(model, observations, alpha, omega):
-    """Threshold entailment of the conclusion at the final step.
-
-    Vacuously holds when the filtered belief is dead.
-    """
+    """Threshold entailment of alpha at the final step; vacuous once the belief dies."""
     return belief_verdict(model, run_filter(model, observations), alpha, omega)
 
 
@@ -164,9 +155,11 @@ def belief_verdict(model, belief, alpha, omega):
     w = check_threshold(omega)
     if not belief.alive:
         return Verdict(holds=True, probability=None, vacuous=True)
-    amask = truth_mask(alpha, model.table)
-    p = sum(compress(belief.weights, _selector(amask)), Fraction(0))
-    return Verdict(holds=p >= w, probability=p, vacuous=False)
+    total = sum(belief.counts)
+    hit = sum(compress(belief.counts, _selector(truth_mask(alpha, model.table))))
+    # p >= w = num/den, cross-multiplied over the integer counts
+    holds = hit * w.denominator >= w.numerator * total
+    return Verdict(holds=holds, probability=Fraction(hit, total), vacuous=False)
 
 
 # --- Scenario JSON -----------------------------------------------------
@@ -176,6 +169,13 @@ def belief_verdict(model, belief, alpha, omega):
 #              | {"kind": "sticky", "epsilon": "1/10"}
 #              | {"kind": "matrix", "rows": [["1", "0", ...], ...]},
 #  "observations": [["a", "~a|b"], ["b"]]}
+
+
+def _list_of_lists(value, name):
+    """value, unless it or an item is a string, which would iterate as characters."""
+    if isinstance(value, str) or any(isinstance(item, str) for item in value):
+        raise TypeError(f"'{name}' must be a list of lists, not strings")
+    return value
 
 
 def scenario_from_dict(data):
@@ -194,22 +194,20 @@ def scenario_from_dict(data):
         raise TemporalError(f"bad prior: {exc}") from exc
     table = prior.table
     _check_temporal_size(table)
-    size = table.num_valuations
 
     kind = transition_spec.get("kind") if isinstance(transition_spec, dict) else None
     if kind == "identity":
-        transition = identity_transition(size)
+        transition = identity_transition(table.num_valuations)
     elif kind == "sticky":
         try:
             epsilon = parse_rational(transition_spec["epsilon"])
         except (KeyError, WorldError) as exc:
             raise TemporalError(f"sticky transition needs an 'epsilon': {exc}") from exc
-        transition = sticky_transition(size, epsilon)
+        transition = sticky_transition(table.num_valuations, epsilon)
     elif kind == "matrix":
         try:
-            transition = [
-                [parse_rational(x) for x in row] for row in transition_spec["rows"]
-            ]
+            rows = _list_of_lists(transition_spec["rows"], "rows")
+            transition = [[parse_rational(x) for x in row] for row in rows]
         except (KeyError, TypeError, WorldError) as exc:
             raise TemporalError(f"bad transition matrix: {exc}") from exc
     else:
@@ -217,7 +215,8 @@ def scenario_from_dict(data):
 
     model = TemporalModel(table, prior.probs, transition)
     try:
-        observations = [parse_premises(row, table) for row in observation_rows]
+        rows = _list_of_lists(observation_rows, "observations")
+        observations = [parse_premises(row, table) for row in rows]
     except FormulaError as exc:
         raise TemporalError(f"bad observation: {exc}") from exc
     except TypeError as exc:

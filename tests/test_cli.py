@@ -247,6 +247,13 @@ class TestPrefEntail:
             ({"universe": [0, 1], "edges": 5}, "must be lists"),
             ({"universe": ["0"], "edges": []}, "universe index '0' is not an integer"),
             ({"universe": [0, 1], "edges": [5]}, "index pairs"),
+            ({"universe": [0, 1, 2], "edges": ["01", "12"]}, "index pairs, not '01'"),
+            ({"universe": [0, 1], "edges": [[0.9, 1]]}, "index pairs, not [0.9, 1]"),
+            ({"universe": [0, 1], "edges": [[True, 1]]}, "index pairs, not [True, 1]"),
+            ({"universe": [0, 1, 2], "edges": [[0, 1, 2]]}, "index pairs, not [0, 1, 2]"),
+            ({"universe": [0, 1], "edges": [{"0": 1}]}, "index pairs, not {'0': 1}"),
+            ({"universe": [True, 0], "edges": []}, "universe index True is not an integer"),
+            ({"universe": [0, 1.0], "edges": []}, "universe index 1.0 is not an integer"),
         ],
     )
     def test_malformed_structure(self, capsys, tmp_path, body, message):
@@ -503,6 +510,34 @@ class TestSimulate:
             capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
         )
         assert message in line
+
+    @pytest.mark.parametrize(
+        "transition, observations",
+        [
+            ({"kind": "matrix", "rows": ["1000", "0100", "0010", "0001"]}, [["a"]]),
+            ({"kind": "matrix", "rows": "1000"}, [["a"]]),
+            ({"kind": "identity"}, "ab"),
+            ({"kind": "identity"}, [["a"], "ab"]),
+        ],
+        ids=["matrix-row", "matrix-rows", "observations", "observation-row"],
+    )
+    def test_string_in_place_of_a_list_refused(
+        self, capsys, tmp_path, table1_world, transition, observations
+    ):
+        # iterating a string would read its characters as entries or formulas
+        path = write_json(
+            tmp_path,
+            "strings.json",
+            {
+                "prior": world_to_dict(table1_world),
+                "transition": transition,
+                "observations": observations,
+            },
+        )
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
+        )
+        assert line.endswith("must be a list of lists, not strings")
 
     def test_filters_each_observation_once(self, capsys, monkeypatch, tmp_path, table1_world):
         from bayent import temporal

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -83,6 +84,32 @@ class TestModelValidation:
         with pytest.raises(TemporalError, match="prior"):
             TemporalModel(a_table, [Fraction(1, 2), Fraction(1, 4)], identity_transition(2))
 
+    def test_prior_errors_are_the_world_model_errors(self, a_table):
+        with pytest.raises(TemporalError, match="^bad prior: need 2 probabilities, got 1$"):
+            TemporalModel(a_table, [1], identity_transition(2))
+        with pytest.raises(TemporalError, match="^bad prior: negative probability -1/2"):
+            TemporalModel(a_table, ["-1/2", "3/2"], identity_transition(2))
+
+    def test_prior_world_is_the_stored_model(self, table1_world):
+        model = TemporalModel(table1_world.table, table1_world.probs, identity_transition(4))
+        assert model.prior_world() is model.prior_world()
+        assert model.prior_world() == table1_world
+        assert model.prior == table1_world.probs
+
+    def test_row_sum_reported_exactly(self, a_table):
+        rows = [[1, 0], [Fraction(1, 3), Fraction(1, 2**20)]]
+        total = Fraction(1, 3) + Fraction(1, 2**20)
+        with pytest.raises(TemporalError, match=f"^transition row 1 sums to {total}, not 1$"):
+            TemporalModel(a_table, [Fraction(1, 2)] * 2, rows)
+
+    def test_identity_is_sticky_at_zero(self):
+        for size in (1, 2, 4):
+            rows = identity_transition(size)
+            assert rows == sticky_transition(size, 0)
+            assert rows == tuple(
+                tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size)
+            )
+
     def test_sticky_rows_are_stochastic(self, ab):
         rows = sticky_transition(4, Fraction(1, 10))
         for row in rows:
@@ -131,6 +158,36 @@ class TestFilterStep:
         assert filter_step(identity_model, dead, set()) is dead
 
 
+class TestBeliefState:
+    def test_counts_kept_in_lowest_terms(self):
+        assert BeliefState((2, 0, 4)).counts == (1, 0, 2)
+        assert BeliefState((2, 0, 4)) == BeliefState((3, 0, 6)) == BeliefState((1, 0, 2))
+        assert BeliefState((1, 0, 2)) != BeliefState((2, 0, 1))
+
+    def test_weights_and_alive(self):
+        belief = BeliefState((3, 0, 6))
+        assert belief.alive
+        assert belief.weights == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
+        assert all(type(w) is Fraction for w in belief.weights)
+
+    def test_dead(self):
+        dead = BeliefState.dead(3)
+        assert not dead.alive
+        assert dead.counts == (0, 0, 0)
+        assert dead.weights == (Fraction(0),) * 3
+        assert dead == BeliefState((0, 0, 0))
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            BeliefState((1, 1)).counts = (1, 2)
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(TypeError):
+            BeliefState((Fraction(1, 2), Fraction(1, 2)))
+        with pytest.raises(TypeError):
+            BeliefState((0.5, 0.5))
+
+
 class TestRunFilter:
     def test_single_step_matches_static_posterior(self, ab, f):
         prior = random_world(ab, 5, 0)
@@ -166,6 +223,13 @@ class TestTemporalEntails:
         static = bayes_entails(table1_world, delta, f("~a"), Fraction(3, 5))
         assert (v.holds, v.probability) == (static.holds, static.probability)
 
+    def test_threshold_is_inclusive_and_exact(self, a_table):
+        model = TemporalModel(a_table, [Fraction(2, 3), Fraction(1, 3)], identity_transition(2))
+        alpha = parse_formula("a", a_table)
+        assert temporal_entails(model, [], alpha, Fraction(1, 3)).holds
+        v = temporal_entails(model, [], alpha, Fraction(1, 3) + Fraction(1, 10**30))
+        assert not v.holds and v.probability == Fraction(1, 3)
+
     def test_vacuous_on_dead_belief(self, identity_model, a_table):
         obs = [parse_premises(["a"], a_table), parse_premises(["~a"], a_table)]
         alpha = parse_formula("a", a_table)
@@ -186,6 +250,35 @@ class TestTemporalEntails:
         belief = run_filter(model, obs)
         expected = brute_force_final_marginal(model, obs)
         assert list(belief.weights) == expected
+
+    def test_matrix_with_mixed_denominators_matches_trajectory_enumeration(self, ab, f):
+        r2 = [Fraction(1, 2**20), Fraction(3, 10), Fraction(1, 2)]
+        rows = [
+            [Fraction(1, 3), Fraction(2, 3), 0, 0],
+            [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7), Fraction(1, 7)],
+            r2 + [1 - sum(r2)],
+            [Fraction(1, 12), Fraction(5, 12), Fraction(1, 4), Fraction(1, 4)],
+        ]
+        prior = random_world(ab, 23, Fraction(1, 4))
+        model = TemporalModel(ab, prior.probs, rows)
+        for obs in (
+            [set(), set(), set()],
+            [{f("a | b")}, set(), {f("b")}, {f("~a | b")}],
+            [{f("a")}, {f("~a & ~b")}],
+            [{f("b")}, {f("a & ~b")}, {f("a")}],
+        ):
+            expected = brute_force_final_marginal(model, obs)
+            assert list(run_filter(model, obs).weights) == expected
+
+    def test_counts_stay_in_lowest_terms_along_a_long_chain(self, ab, f):
+        prior = random_world(ab, 9, 0)
+        model = TemporalModel(ab, prior.probs, sticky_transition(4, Fraction(1, 10)))
+        belief = model.initial_belief()
+        observations = [set(), {f("a | b")}, {f("~a | b")}]
+        for t in range(30):
+            belief = filter_step(model, belief, observations[t % 3])
+            assert belief.alive
+            assert gcd(*belief.counts) == 1
 
     def test_filter_equals_brute_force_on_random_chains(self, ab, f):
         prior = random_world(ab, 17, Fraction(1, 4))
