@@ -143,7 +143,7 @@ def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
     return ConsequenceOracle(f"map-{mode}", query, base_fn, mask_query, base_mask)
 
 
-def pref_oracle(structure, base=STRICT):
+def pref_oracle(structure):
     """Oracle for the preferential entailment of a structure."""
     maximal = lru_cache(MEMO_SIZE)(structure.maximal_mask)
 
@@ -186,9 +186,10 @@ class FormulaPool:
     table: SymbolTable
     max_depth: int
     formulas: tuple
+    truth_masks: tuple  # truth_mask(f, table) of each formula, in order
 
     def masks(self):
-        return tuple(truth_mask(f, self.table) for f in self.formulas)
+        return self.truth_masks
 
     def __len__(self):
         return len(self.formulas)
@@ -226,7 +227,7 @@ def enumerate_pool(table, max_depth):
         while frontier:
             frontier = [node for node in map(Not, frontier) if add(node)]
 
-    return FormulaPool(table, max_depth, tuple(by_mask.values()))
+    return FormulaPool(table, max_depth, tuple(by_mask.values()), tuple(by_mask))
 
 
 # --- Property table ----------------------------------------------------

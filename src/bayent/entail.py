@@ -8,7 +8,7 @@ conclusion only at the posterior-mode valuations.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .formula import truth_mask
@@ -31,89 +31,57 @@ def valuation_rows(table, mask):
     return [{"index": i, "assignment": table.assignment(i)} for i in _indices(mask)]
 
 
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of an entailment query.
 
     probability is None exactly when the verdict is vacuous (zero-mass
     premises). witnesses are MAP estimates on success paths that have
     them, or supported countermodels on failure; always sorted by
-    valuation index. The engines keep them as the mask they computed:
-    the Valuations are built on the first read of .witnesses and kept,
-    and to_dict renders the rows from the mask without building any.
-    Immutable: assigning an attribute raises FrozenInstanceError.
+    valuation index. An engine's verdict keeps them as its mask until
+    .witnesses is first read; to_dict renders rows from the mask.
     """
 
-    __slots__ = ("holds", "probability", "vacuous", "_witnesses", "_table", "_mask")
-    __match_args__ = ("holds", "probability", "vacuous", "witnesses")
+    holds: bool
+    probability: Fraction | None
+    vacuous: bool
+    witnesses: tuple = field(default_factory=tuple)
 
-    def __init__(self, holds, probability, vacuous, witnesses=()):
-        if vacuous and not holds:
+    def __post_init__(self):
+        if self.vacuous and not self.holds:
             raise ValueError("vacuous verdicts hold by definition")
-        if (probability is None) != vacuous:
+        if (self.probability is None) != self.vacuous:
             raise ValueError("probability is undefined iff vacuous")
-        _fill(self, holds, probability, vacuous, witnesses, None, 0)
 
     @classmethod
     def _of_mask(cls, holds, probability, table, mask):
         """Non-vacuous verdict whose witnesses are the valuations at mask's bits."""
         verdict = cls.__new__(cls)
-        _fill(verdict, holds, probability, False, None, table, mask)
+        vars(verdict).update(
+            holds=holds, probability=probability, vacuous=False, _rows=(table, mask)
+        )
         return verdict
 
-    @property
-    def witnesses(self):
-        if self._witnesses is None:
-            found = tuple(map(self._table.valuation, _indices(self._mask)))
-            object.__setattr__(self, "_witnesses", found)
-        return self._witnesses
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _fields(self):
-        return (self.holds, self.probability, self.vacuous, self.witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self):
-        holds, probability, vacuous, witnesses = self._fields()
-        return (
-            f"Verdict(holds={holds!r}, probability={probability!r}, "
-            f"vacuous={vacuous!r}, witnesses={witnesses!r})"
-        )
+    def __getattr__(self, name):
+        # reached only for names not in the instance dict: witnesses of a
+        # mask-backed verdict, built once; any other name is missing
+        if name != "witnesses":
+            raise AttributeError(name)
+        table, mask = self._rows
+        found = vars(self)["witnesses"] = tuple(map(table.valuation, _indices(mask)))
+        return found
 
     def to_dict(self):
-        if self._table is None:
-            rows = [
-                {"index": v.index, "assignment": v.assignment()}
-                for v in self._witnesses
-            ]
+        if "_rows" in vars(self):
+            rows = valuation_rows(*self._rows)
         else:
-            rows = valuation_rows(self._table, self._mask)
+            rows = [{"index": v.index, "assignment": v.assignment()} for v in self.witnesses]
         return {
             "holds": self.holds,
             "probability": None if self.probability is None else str(self.probability),
             "vacuous": self.vacuous,
             "witnesses": rows,
         }
-
-
-def _fill(verdict, *values):
-    """Set the slots of a new verdict, in __slots__ order."""
-    for name, value in zip(Verdict.__slots__, values):
-        object.__setattr__(verdict, name, value)
 
 
 def classical_entails(table, delta, alpha):

@@ -13,7 +13,7 @@ Parentheses group as usual.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -134,39 +134,24 @@ class SymbolTable:
         return Valuation(self, index)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Valuation:
     """One truth assignment, encoded as an integer in [0, 2^n).
 
     symbols[0] maps to the most significant bit, so enumerating indices
-    0..2^n-1 walks the truth table top to bottom. Immutable: equal and
-    hashed on (table, index), and assigning an attribute raises
-    FrozenInstanceError.
+    0..2^n-1 walks the truth table top to bottom. A frozen value, equal
+    and hashed on (table, index).
     """
 
-    __slots__ = ("table", "index")
+    table: SymbolTable
+    index: int
 
-    def __init__(self, table, index):
-        if not 0 <= index < table.num_valuations:
-            raise ValueError(f"valuation index {index} out of range")
-        _set_table(self, table)
-        _set_index(self, index)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __post_init__(self):
+        if not 0 <= self.index < self.table.num_valuations:
+            raise ValueError(f"valuation index {self.index} out of range")
 
     def __reduce__(self):
         return Valuation, (self.table, self.index)
-
-    def __eq__(self, other):
-        if other.__class__ is not Valuation:
-            return NotImplemented
-        return self.index == other.index and self.table == other.table
-
-    def __hash__(self):
-        return hash((self.table, self.index))
 
     @property
     def bits(self):
@@ -185,12 +170,6 @@ class Valuation:
         return f"Valuation({inner})"
 
 
-# Valuation.__setattr__ refuses assignment, so __init__ fills the slots
-# through their descriptors.
-_set_table = Valuation.table.__set__
-_set_index = Valuation.index.__set__
-
-
 # --- AST ---------------------------------------------------------------
 
 
@@ -201,6 +180,9 @@ class Formula:
 
     def __str__(self):
         return render(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, vars(self).values()))})"
 
     def __and__(self, other):
         return And(self, other)
@@ -216,28 +198,20 @@ class Formula:
 class Atom(Formula):
     name: str
 
-    def __repr__(self):
-        return f"Atom({self.name!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Top(Formula):
-    def __repr__(self):
-        return "Top()"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class Bottom(Formula):
-    def __repr__(self):
-        return "Bottom()"
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
     arg: Formula
-
-    def __repr__(self):
-        return f"Not({self.arg!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -245,17 +219,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self):
-        return f"And({self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __repr__(self):
-        return f"Or({self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -263,17 +231,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self):
-        return f"Implies({self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
-
-    def __repr__(self):
-        return f"Iff({self.left!r}, {self.right!r})"
 
 
 # The grammar, for render and the parser (atoms and constants bind at 6).

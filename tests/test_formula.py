@@ -49,6 +49,13 @@ def test_valuation_is_a_frozen_value():
     assert copy.copy(v) == v and pickle.loads(pickle.dumps(v)) == v
 
 
+def test_repr_of_every_node_kind():
+    f = parse_formula("(a & ~b | true) -> (false <-> c)")
+    assert repr(f) == (
+        "Implies(Or(And(Atom('a'), Not(Atom('b'))), Top()), Iff(Bottom(), Atom('c')))"
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_table_assignment_matches_the_valuation_bits(n):
     t = SymbolTable([f"p{k}" for k in range(n)])

@@ -48,17 +48,23 @@ class TestValidation:
         s = PreferentialStructure(ab, range(4), [(0, 1), (1, 2)])
         assert s.added_edges == frozenset({(0, 2)})
 
-    def test_missing_transitivity_without_closure(self, ab):
-        s = PreferentialStructure(ab, range(4), [(0, 1), (1, 2)], close=False)
-        assert s.validate() == ["transitivity: missing (0,2)"]
-
-    def test_missing_edge_reported_once_per_path(self, ab):
-        s = PreferentialStructure(ab, range(4), [(0, 1), (0, 2), (1, 3), (2, 3)], close=False)
-        assert s.validate() == ["transitivity: missing (0,3)"] * 2
-
     def test_edges_must_stay_in_universe(self, ab):
         with pytest.raises(StructureError):
             PreferentialStructure(ab, [0, 1], [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "universe, edges, message",
+        [
+            ([0, 1], [(True, 1)], "index pairs, not (True, 1)"),
+            ([0, 0.5], [], "universe index 0.5 is not an integer"),
+            ([0, 1], [(0, 1), (0, 1.0), (True, 1)], "index pairs, not (0, 1.0)"),
+            ([0, 1, True, 0.5], [(0, 1.0)], "universe index True is not an integer"),
+        ],
+    )
+    def test_indices_must_be_ints_in_input_order(self, ab, universe, edges, message):
+        with pytest.raises(StructureError) as info:
+            PreferentialStructure(ab, universe, edges)
+        assert message in str(info.value)
 
 
 class TestMaximalModels:
@@ -244,16 +250,16 @@ def orders(draw):
     universe = draw(st.sets(st.integers(0, 7), min_size=1))
     members = sorted(universe)
     pair = st.tuples(st.sampled_from(members), st.sampled_from(members))
-    return universe, draw(st.lists(pair, max_size=14)), draw(st.booleans())
+    return universe, draw(st.lists(pair, max_size=14))
 
 
 @given(orders(), st.integers(0, 255), st.lists(formulas(), max_size=2), formulas())
 def test_bitset_order_matches_brute_force(case, dmask, delta_list, alpha):
-    universe, edge_list, close = case
+    universe, edge_list = case
     given_edges = set(edge_list)
-    structure = PreferentialStructure(_TABLE, universe, edge_list, close=close)
+    structure = PreferentialStructure(_TABLE, universe, edge_list)
 
-    closed = _brute_closure(given_edges) if close else given_edges
+    closed = _brute_closure(given_edges)
     assert structure.edges == closed
     assert structure.added_edges == closed - given_edges
     assert structure.validate() == _brute_violations(closed)
