@@ -15,13 +15,14 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import or_
+from operator import floordiv, itemgetter, or_
 
 from .formula import (
     _DIGIT_BITS,
     MAX_SYMBOLS,
     FormulaError,
     SymbolTable,
+    _atom_mask,
     parse_formula,
     truth_mask,
 )
@@ -37,9 +38,7 @@ for _t in range(8):  # the bytes v + 2^t have the bits of v and bit t
 # _DIGIT[t] maps a byte to the ASCII digit of its bit t.
 _DIGIT = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
 
-_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-
-_BITS = frozenset((0, 1))
+_RATIO = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 class WorldError(Exception):
@@ -274,44 +273,74 @@ def parse_rational(text):
         raise WorldError(f"cannot parse {text!r} as an exact rational: {exc}") from exc
 
 
-def _ratio(text):
-    """parse_rational(text) as a (numerator, denominator) pair in lowest terms.
-
-    Plain 'p' and 'p/q' digit strings are split directly; anything else
-    (decimals, signs, spaces, zero denominators) goes through parse_rational.
-    """
-    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-    if match:
-        try:
-            p, q = int(match[1]), int(match[2] or 1)
-        except ValueError:  # more digits than int() converts
-            q = 0
-        if q:
-            g = gcd(p, q)
-            return p // g, q // g
-    value = parse_rational(text)
-    return value.numerator, value.denominator
-
-
 # --- JSON world files --------------------------------------------------
 #
 # {"symbols": ["a", "b"],
 #  "worlds": [{"assignment": {"a": 0, "b": 0}, "prob": "1/2"}, ...]}
 #
-# Every one of the 2^n assignments must appear exactly once, in any order;
-# truth values are 0/1 or true/false; "prob" accepts rational strings "p/q"
-# or decimal strings parsed exactly.
+# "symbols" is a list. Every one of the 2^n assignments must appear exactly
+# once, in any order; truth values are 0/1 or true/false; "prob" accepts
+# rational strings "p/q" or decimal strings parsed exactly.
 
 
-def _row_index(assignment, place, table):
-    """Valuation index of a row's assignment; place maps each symbol to its bit."""
+def _probs_in_index_order(table, rows):
+    """The rows' "prob" values in valuation index order, read a column at a time.
+
+    Taken only by regular rows: 2^n mappings whose assignments map
+    exactly the table's symbols to 0/1 or false/true, each index once.
+    None for anything else.
+    """
+    n, size = len(table), table.num_valuations
+    if len(rows) != size:
+        return None
     try:
-        fast = assignment.keys() == place.keys() and _BITS.issuperset(assignment.values())
-    except (AttributeError, TypeError):
-        fast = False
-    if fast:
-        return sum(compress(place.values(), map(assignment.__getitem__, place)))
-    return table.valuation_from_assignment(assignment).index
+        assignments = list(map(itemgetter("assignment"), rows))
+        probs = list(map(itemgetter("prob"), rows))
+        # one byte per row; a value bytes() cannot take (1.0, "1", 256) raises
+        columns = [bytes(map(itemgetter(name), assignments)) for name in table.symbols]
+        if sum(map(len, assignments)) != n * size:  # a key besides the symbols
+            return None
+    except (KeyError, TypeError, ValueError):
+        return None
+    if all(column == _selector(_atom_mask(n, n - 1 - k)) for k, column in enumerate(columns)):
+        return probs
+    if max(map(max, columns)) > 1:
+        return None
+    # row r's index is the binary number whose digits are its n column bytes
+    digits = bytearray(b" ") * ((n + 1) * size)
+    for k, column in enumerate(columns):
+        digits[k :: n + 1] = column.translate(_DIGIT[0])
+    by_index = dict(zip(map(int, digits.split(), repeat(2)), probs))
+    if len(by_index) != size:  # an index twice, so another one missing
+        return None
+    return list(map(by_index.__getitem__, range(size)))
+
+
+def _column_ratios(table, rows):
+    """(nums, dens) in lowest terms and valuation index order, or None.
+
+    Reads regular files a column at a time (see _probs_in_index_order),
+    when every prob is a 'p' or 'p/q' digit string with q > 0, which is
+    what world_to_dict writes. For anything else the result is None and
+    the row loop reads the file and raises its errors.
+    """
+    probs = _probs_in_index_order(table, rows)
+    if probs is None:
+        return None
+    try:
+        if not all(map(_RATIO.fullmatch, probs)):
+            return None
+        nums = list(map(int, map(itemgetter(0), map(str.partition, probs, repeat("/")))))
+        # the digits after the slash, or "" padded to "1" when there is none
+        tails = map(itemgetter(2), map(str.partition, probs, repeat("/")))
+        dens = list(map(int, map(str.rjust, tails, repeat(1), repeat("1"))))
+    except (TypeError, ValueError):  # a prob that is not a string, or too long for int()
+        return None
+    if not all(dens):
+        return None
+    common = list(map(gcd, nums, dens))
+    nums = list(map(floordiv, nums, common))
+    return nums, list(map(floordiv, dens, common))
 
 
 def world_from_dict(data):
@@ -320,6 +349,9 @@ def world_from_dict(data):
         rows = data["worlds"]
     except (KeyError, TypeError) as exc:
         raise WorldError(f"world JSON must have 'symbols' and 'worlds': {exc}") from exc
+    if not isinstance(symbols, list):
+        # a string would be read as one symbol per character, a dict as its keys
+        raise WorldError(f"'symbols' must be a list of names, not {type(symbols).__name__}")
     try:
         table = SymbolTable(symbols)
     except ValueError as exc:
@@ -327,14 +359,15 @@ def world_from_dict(data):
     if not isinstance(rows, list):
         raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
     size = checked_size(table)
-    n = len(table)
-    place = {name: 1 << (n - 1 - k) for k, name in enumerate(table.symbols)}
+    ratios = _column_ratios(table, rows)
+    if ratios is not None:
+        return WorldModel._from_ratios(table, *ratios)
     nums = [None] * size
     dens = [1] * size
     for row in rows:
         try:
             assignment = row["assignment"]
-            index = _row_index(assignment, place, table)
+            index = table.assignment_index(assignment)
             prob = row["prob"]
         except KeyError as exc:
             raise WorldError(f"world row {row!r} has no {exc} key") from exc
@@ -342,7 +375,8 @@ def world_from_dict(data):
             raise WorldError(f"bad world row {row!r}: {exc}") from exc
         if nums[index] is not None:
             raise WorldError(f"assignment {assignment} appears twice")
-        nums[index], dens[index] = _ratio(prob)
+        value = parse_rational(prob)
+        nums[index], dens[index] = value.numerator, value.denominator
     if None in nums:
         missing = [i for i, p in enumerate(nums) if p is None]
         first = table.valuation(missing[0]).assignment()

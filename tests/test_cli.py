@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bayent import SymbolTable, uniform_world, world_to_dict
+from bayent import cli
 from bayent.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from bayent.formula import Valuation
 
@@ -175,6 +177,16 @@ class TestProb:
         path.write_text("[" * 100_000 + "]" * 100_000)
         line = run_input_error(capsys, "prob", "--world", str(path))
         assert line.endswith("deep.json is nested too deeply")
+
+    @pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}])
+    def test_symbols_not_a_list(self, capsys, tmp_path, symbols):
+        # a string would be read one symbol per character, a dict as its keys
+        body = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
+        body["symbols"] = symbols
+        path = write_json(tmp_path, "strsyms.json", body)
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
+        kind = type(symbols).__name__
+        assert line.endswith(f"'symbols' must be a list of names, not {kind}")
 
 
 class TestEntail:
@@ -424,6 +436,19 @@ class TestAudit:
 
 
 class TestSimulate:
+    def test_prior_symbols_not_a_list(self, capsys, tmp_path):
+        prior = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
+        prior["symbols"] = "ab"
+        path = write_json(
+            tmp_path,
+            "strprior.json",
+            {"prior": prior, "transition": {"kind": "identity"}, "observations": [["a"]]},
+        )
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1/2"
+        )
+        assert line.endswith("bad prior: 'symbols' must be a list of names, not str")
+
     def test_reproduces_static_value(self, capsys, scenario_file):
         code, out = run(
             capsys,
@@ -602,6 +627,39 @@ class TestSimulate:
             ["simulate", "--scenario", str(path), "--conclusion", "a", "--omega", "1"]
         )
         assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--world", "FILE", "--premise", "a"],
+        ["pref-entail", "--structure", "FILE", "--symbols", "a,b", "--conclusion", "a"],
+        ["simulate", "--scenario", "FILE", "--conclusion", "a", "--omega", "1/2"],
+    ],
+    ids=["world", "structure", "scenario"],
+)
+def test_file_not_utf8(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"symbols": ["\xe9"]}'.encode("latin-1"))
+    line = run_input_error(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert line.startswith(f"error: {path} is not valid UTF-8: ")
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("text", ['{"a": [1, 2]}', "{", "\xff"])
+def test_load_json_restores_the_collector(tmp_path, collecting, text):
+    path = tmp_path / "any.json"
+    path.write_bytes(text.encode("latin-1"))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        try:
+            cli._load_json(str(path))
+        except cli.InputError:
+            pass
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -23,7 +25,8 @@ from bayent import (
     world_from_dict,
     world_to_dict,
 )
-from bayent.worlds import _indices, _ratio, exact, premise_mask
+from bayent import worlds
+from bayent.worlds import _indices, exact, premise_mask
 
 from test_formula import formulas, _TABLE
 
@@ -317,33 +320,66 @@ def test_weight_equals_brute_force_sum(model, data):
         assert model.mass(mask) == Fraction(brute_weight(model, mask), model.den)
 
 
-# --- the one-pass integer loader ---------------------------------------
+# --- the column pass against the row loop ------------------------------
+
+
+def loaded(data):
+    """(den, weights) of world_from_dict(data), or the text of its WorldError."""
+    try:
+        model = world_from_dict(data)
+    except WorldError as exc:
+        return str(exc)
+    return model.den, model.weights
+
+
+def loaded_by_rows(data):
+    """loaded(data) with the column pass turned off, so the row loop reads every file."""
+    with mock.patch.object(worlds, "_column_ratios", return_value=None):
+        return loaded(data)
+
+
+def one_symbol_world(prob, rest):
+    return {
+        "symbols": ["a"],
+        "worlds": [
+            {"assignment": {"a": 0}, "prob": prob},
+            {"assignment": {"a": 1}, "prob": rest},
+        ],
+    }
+
 
 TRICKY_RATIONALS = [
     "2/4", "0/7", "007/014", "3", "0", " 1/2 ", "+1/2", "-1/2", "-0/3", "1/0",
     "1/00", "0.25", "1e-2", "1_0/3", "½", "١/٢", "1//2", "", "9" * 5000 + "/3",
+    "1 /2", "1/ 2",  # int() reads "1 " and " 2"; Fraction refuses both
 ]
 
 
 @pytest.mark.parametrize("text", TRICKY_RATIONALS)
 def test_ratio_fast_path_agrees_with_parse_rational(text):
     try:
-        expected = Fraction(str(text))
+        value = Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         with pytest.raises(WorldError) as slow:
             parse_rational(text)
-        with pytest.raises(WorldError) as fast:
-            _ratio(text)
-        assert str(fast.value) == str(slow.value)
+        data = one_symbol_world(text, "1")
+        assert loaded(data) == loaded_by_rows(data) == str(slow.value)
         return
-    assert parse_rational(text) == expected
-    assert _ratio(text) == (expected.numerator, expected.denominator)
+    rest = str(1 - value) if 0 <= value <= 1 else "0"
+    data = one_symbol_world(text, rest)
+    assert loaded(data) == loaded_by_rows(data)
+    if 0 <= value <= 1:
+        expected = WorldModel(SymbolTable(["a"]), [value, 1 - value])
+        assert loaded(data) == (expected.den, expected.weights)
 
 
 @given(st.integers(0, 10**30), st.integers(1, 10**30))
 def test_ratio_of_digit_strings_is_in_lowest_terms(p, q):
-    expected = Fraction(p, q)
-    assert _ratio(f"{p}/{q}") == (expected.numerator, expected.denominator)
+    low, high = sorted((p, q))
+    value = Fraction(low, high)
+    data = one_symbol_world(f"{low}/{high}", f"{high - low}/{high}")
+    expected = WorldModel(SymbolTable(["a"]), [value, 1 - value])
+    assert loaded(data) == (expected.den, expected.weights)
 
 
 @given(
@@ -396,6 +432,99 @@ def test_loader_keeps_row_messages(assignment, message):
     data = {"symbols": ["a", "b"], "worlds": [{"assignment": assignment, "prob": "1"}]}
     with pytest.raises(WorldError, match=message):
         world_from_dict(data)
+
+
+@pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}, ("a", "b")])
+def test_symbols_must_be_a_list(symbols):
+    data = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
+    data["symbols"] = symbols
+    with pytest.raises(WorldError, match="'symbols' must be a list of names"):
+        world_from_dict(data)
+
+
+def _drop_key(assignment):
+    del assignment[next(iter(assignment))]
+
+
+def _set_first(assignment, value):
+    assignment[next(iter(assignment))] = value
+
+
+# Each perturbation changes row r of a world_to_dict file (s is a second row).
+PERTURBATIONS = {
+    "none": lambda rows, r, s: None,
+    "rows swapped": lambda rows, r, s: rows.insert(s, rows.pop(r)),
+    "booleans": lambda rows, r, s: rows[r].update(
+        assignment={k: bool(v) for k, v in rows[r]["assignment"].items()}
+    ),
+    "keys reordered": lambda rows, r, s: rows[r].update(
+        assignment=dict(reversed(rows[r]["assignment"].items()))
+    ),
+    "key missing": lambda rows, r, s: _drop_key(rows[r]["assignment"]),
+    "key extra": lambda rows, r, s: rows[r]["assignment"].update(zz=0),
+    "value 2": lambda rows, r, s: _set_first(rows[r]["assignment"], 2),
+    'value "1"': lambda rows, r, s: _set_first(rows[r]["assignment"], "1"),
+    "value 1.0": lambda rows, r, s: _set_first(rows[r]["assignment"], 1.0),
+    'prob "1/0"': lambda rows, r, s: rows[r].update(prob="1/0"),
+    'prob "0.5"': lambda rows, r, s: rows[r].update(prob="0.5"),
+    "prob of 5,000 digits": lambda rows, r, s: rows[r].update(prob="1" + "0" * 4999),
+    "prob int 1": lambda rows, r, s: rows[r].update(prob=1),
+    "duplicate row": lambda rows, r, s: rows.__setitem__(s, json.loads(json.dumps(rows[r]))),
+    "one row short": lambda rows, r, s: rows.pop(r),
+}
+# the perturbations after which the file is still the same world, read a column at a time
+SAME_WORLD = {"none", "rows swapped", "booleans", "keys reordered"}
+
+
+@st.composite
+def perturbed_world_files(draw):
+    table = SymbolTable([f"p{i}" for i in range(draw(st.integers(1, 8)))])
+    model = random_world(table, draw(seeds), draw(zero_fractions))
+    data = world_to_dict(model)
+    kind = draw(st.sampled_from(sorted(PERTURBATIONS)))
+    rows = data["worlds"]
+    r, s = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+    PERTURBATIONS[kind](rows, r, s)
+    return model, data, kind
+
+
+def _raise(*args):
+    raise AssertionError("the row loop read a regular file")
+
+
+@given(perturbed_world_files())
+def test_column_pass_agrees_with_the_row_loop(case):
+    model, data, kind = case
+    assert loaded(data) == loaded_by_rows(data)
+    if kind in SAME_WORLD:
+        with mock.patch.object(worlds, "parse_rational", _raise), mock.patch.object(
+            SymbolTable, "assignment_index", _raise
+        ):
+            assert loaded(data) == (model.den, model.weights)
+
+
+def test_column_pass_stays_within_two_mib_at_n14():
+    """2^14 rows in index order with probs 'w/total', w <= 8: the form the
+    benchmark writes. One regex over the joined probs would need 6.9 MiB."""
+    table = SymbolTable([f"p{i}" for i in range(14)])
+    rng = random.Random(14)
+    weights = [rng.choice([0, *range(1, 9)]) for _ in range(table.num_valuations)]
+    total = sum(weights)
+    data = {
+        "symbols": list(table.symbols),
+        "worlds": [
+            {"assignment": table.assignment(i), "prob": f"{w}/{total}"}
+            for i, w in enumerate(weights)
+        ],
+    }
+    tracemalloc.start()
+    try:
+        model = world_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert model == WorldModel(table, [Fraction(w, total) for w in weights])
 
 
 def test_fraction_argument_is_kept():
