@@ -9,7 +9,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 
@@ -44,10 +43,6 @@ class InputError(Exception):
 
 
 def _load_json(path):
-    # A decoded JSON tree holds no reference cycles, so the collections its
-    # allocations would trigger find nothing to free.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -59,9 +54,6 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise InputError(f"{path} is nested too deeply") from None
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _load_world(path):

@@ -119,10 +119,6 @@ class SymbolTable:
 
     def valuation_from_assignment(self, assignment):
         """Build a valuation from a {name: 0/1} mapping covering every symbol."""
-        return Valuation(self, self.assignment_index(assignment))
-
-    def assignment_index(self, assignment):
-        """Valuation index of a {name: 0/1} mapping covering every symbol."""
         missing = [s for s in self.symbols if s not in assignment]
         if missing:
             raise ValueError(f"assignment missing symbols {missing}")
@@ -135,7 +131,7 @@ class SymbolTable:
             if bit not in (0, 1, True, False):
                 raise ValueError(f"truth value for {name!r} must be 0 or 1")
             index = (index << 1) | int(bit)
-        return index
+        return Valuation(self, index)
 
 
 @dataclass(frozen=True, slots=True, repr=False)

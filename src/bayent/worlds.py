@@ -11,11 +11,12 @@ and return `Fraction`s.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import floordiv, itemgetter, or_
+from operator import itemgetter, or_
 
 from .formula import (
     _DIGIT_BITS,
@@ -38,7 +39,9 @@ for _t in range(8):  # the bytes v + 2^t have the bits of v and bit t
 # _DIGIT[t] maps a byte to the ASCII digit of its bit t.
 _DIGIT = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
 
-_RATIO = re.compile(r"[0-9]+(?:/[0-9]+)?")
+_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+_BITS = frozenset((0, 1))
 
 
 class WorldError(Exception):
@@ -273,74 +276,82 @@ def parse_rational(text):
         raise WorldError(f"cannot parse {text!r} as an exact rational: {exc}") from exc
 
 
+def _ratio(text):
+    """parse_rational(text) as a (numerator, denominator) pair in lowest terms.
+
+    Plain 'p' and 'p/q' digit strings are split directly; anything else
+    (decimals, signs, spaces, zero denominators) goes through parse_rational.
+    """
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match:
+        try:
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() converts
+            q = 0
+        if q:
+            g = gcd(p, q)
+            return p // g, q // g
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
 # --- JSON world files --------------------------------------------------
 #
 # {"symbols": ["a", "b"],
 #  "worlds": [{"assignment": {"a": 0, "b": 0}, "prob": "1/2"}, ...]}
 #
-# "symbols" is a list. Every one of the 2^n assignments must appear exactly
-# once, in any order; truth values are 0/1 or true/false; "prob" accepts
-# rational strings "p/q" or decimal strings parsed exactly.
+# "symbols" is a list of names. Every one of the 2^n assignments must
+# appear exactly once, in any order; truth values are 0/1 or true/false;
+# "prob" accepts rational strings "p/q" or decimal strings parsed exactly.
 
 
-def _probs_in_index_order(table, rows):
-    """The rows' "prob" values in valuation index order, read a column at a time.
+def _column_ratios(table, rows):
+    """(nums, dens) in lowest terms if world_to_dict could have written rows.
 
-    Taken only by regular rows: 2^n mappings whose assignments map
-    exactly the table's symbols to 0/1 or false/true, each index once.
-    None for anything else.
+    Such rows are 2^n, in valuation index order; each assignment maps
+    exactly the symbols to 0/1 or false/true and each prob is a 'p' or
+    'p/q' digit string with q > 0. The assignments are checked a column
+    at a time: one symbol's values form a byte string, which must equal
+    the selector of its atom mask. Any other file is left to the row loop,
+    which alone raises the errors.
     """
     n, size = len(table), table.num_valuations
     if len(rows) != size:
         return None
     try:
-        assignments = list(map(itemgetter("assignment"), rows))
         probs = list(map(itemgetter("prob"), rows))
-        # one byte per row; a value bytes() cannot take (1.0, "1", 256) raises
-        columns = [bytes(map(itemgetter(name), assignments)) for name in table.symbols]
-        if sum(map(len, assignments)) != n * size:  # a key besides the symbols
-            return None
-    except (KeyError, TypeError, ValueError):
-        return None
-    if all(column == _selector(_atom_mask(n, n - 1 - k)) for k, column in enumerate(columns)):
-        return probs
-    if max(map(max, columns)) > 1:
-        return None
-    # row r's index is the binary number whose digits are its n column bytes
-    digits = bytearray(b" ") * ((n + 1) * size)
-    for k, column in enumerate(columns):
-        digits[k :: n + 1] = column.translate(_DIGIT[0])
-    by_index = dict(zip(map(int, digits.split(), repeat(2)), probs))
-    if len(by_index) != size:  # an index twice, so another one missing
-        return None
-    return list(map(by_index.__getitem__, range(size)))
-
-
-def _column_ratios(table, rows):
-    """(nums, dens) in lowest terms and valuation index order, or None.
-
-    Reads regular files a column at a time (see _probs_in_index_order),
-    when every prob is a 'p' or 'p/q' digit string with q > 0, which is
-    what world_to_dict writes. For anything else the result is None and
-    the row loop reads the file and raises its errors.
-    """
-    probs = _probs_in_index_order(table, rows)
-    if probs is None:
-        return None
-    try:
         if not all(map(_RATIO.fullmatch, probs)):
             return None
-        nums = list(map(int, map(itemgetter(0), map(str.partition, probs, repeat("/")))))
-        # the digits after the slash, or "" padded to "1" when there is none
-        tails = map(itemgetter(2), map(str.partition, probs, repeat("/")))
-        dens = list(map(int, map(str.rjust, tails, repeat(1), repeat("1"))))
-    except (TypeError, ValueError):  # a prob that is not a string, or too long for int()
+        assignments = list(map(itemgetter("assignment"), rows))
+        for k, name in enumerate(table.symbols):
+            # a value bytes() cannot take (1.0, "1", 256) raises
+            if bytes(map(itemgetter(name), assignments)) != _selector(_atom_mask(n, n - 1 - k)):
+                return None
+        if sum(map(len, assignments)) != n * size:  # a key besides the symbols
+            return None
+        nums, dens = [], []
+        for prob in probs:
+            head, _, tail = prob.partition("/")
+            p, q = int(head), int(tail or 1)
+            if not q:
+                return None
+            g = gcd(p, q)
+            nums.append(p // g)
+            dens.append(q // g)
+    except (KeyError, TypeError, ValueError):  # ValueError: more digits than int() converts
         return None
-    if not all(dens):
-        return None
-    common = list(map(gcd, nums, dens))
-    nums = list(map(floordiv, nums, common))
-    return nums, list(map(floordiv, dens, common))
+    return nums, dens
+
+
+def _row_index(assignment, place, table):
+    """Valuation index of a row's assignment; place maps each symbol to its bit."""
+    try:
+        fast = assignment.keys() == place.keys() and _BITS.issuperset(assignment.values())
+    except (AttributeError, TypeError):
+        fast = False
+    if fast:
+        return sum(compress(place.values(), map(assignment.__getitem__, place)))
+    return table.valuation_from_assignment(assignment).index
 
 
 def world_from_dict(data):
@@ -349,8 +360,8 @@ def world_from_dict(data):
         rows = data["worlds"]
     except (KeyError, TypeError) as exc:
         raise WorldError(f"world JSON must have 'symbols' and 'worlds': {exc}") from exc
-    if not isinstance(symbols, list):
-        # a string would be read as one symbol per character, a dict as its keys
+    if isinstance(symbols, (str, Mapping)):
+        # a string would be read as one symbol per character, a mapping as its keys
         raise WorldError(f"'symbols' must be a list of names, not {type(symbols).__name__}")
     try:
         table = SymbolTable(symbols)
@@ -362,12 +373,14 @@ def world_from_dict(data):
     ratios = _column_ratios(table, rows)
     if ratios is not None:
         return WorldModel._from_ratios(table, *ratios)
+    n = len(table)
+    place = {name: 1 << (n - 1 - k) for k, name in enumerate(table.symbols)}
     nums = [None] * size
     dens = [1] * size
     for row in rows:
         try:
             assignment = row["assignment"]
-            index = table.assignment_index(assignment)
+            index = _row_index(assignment, place, table)
             prob = row["prob"]
         except KeyError as exc:
             raise WorldError(f"world row {row!r} has no {exc} key") from exc
@@ -375,8 +388,7 @@ def world_from_dict(data):
             raise WorldError(f"bad world row {row!r}: {exc}") from exc
         if nums[index] is not None:
             raise WorldError(f"assignment {assignment} appears twice")
-        value = parse_rational(prob)
-        nums[index], dens[index] = value.numerator, value.denominator
+        nums[index], dens[index] = _ratio(prob)
     if None in nums:
         missing = [i for i, p in enumerate(nums) if p is None]
         first = table.valuation(missing[0]).assignment()

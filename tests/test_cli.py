@@ -1,4 +1,3 @@
-import gc
 import json
 import time
 from pathlib import Path
@@ -6,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from bayent import SymbolTable, uniform_world, world_to_dict
-from bayent import cli
 from bayent.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from bayent.formula import Valuation
 
@@ -643,23 +641,6 @@ def test_file_not_utf8(capsys, tmp_path, argv):
     path.write_bytes('{"symbols": ["\xe9"]}'.encode("latin-1"))
     line = run_input_error(capsys, *[str(path) if a == "FILE" else a for a in argv])
     assert line.startswith(f"error: {path} is not valid UTF-8: ")
-
-
-@pytest.mark.parametrize("collecting", [True, False])
-@pytest.mark.parametrize("text", ['{"a": [1, 2]}', "{", "\xff"])
-def test_load_json_restores_the_collector(tmp_path, collecting, text):
-    path = tmp_path / "any.json"
-    path.write_bytes(text.encode("latin-1"))
-    was = gc.isenabled()
-    (gc.enable if collecting else gc.disable)()
-    try:
-        try:
-            cli._load_json(str(path))
-        except cli.InputError:
-            pass
-        assert gc.isenabled() == collecting
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, capsys):

@@ -434,12 +434,18 @@ def test_loader_keeps_row_messages(assignment, message):
         world_from_dict(data)
 
 
-@pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}, ("a", "b")])
+@pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}])
 def test_symbols_must_be_a_list(symbols):
     data = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
     data["symbols"] = symbols
     with pytest.raises(WorldError, match="'symbols' must be a list of names"):
         world_from_dict(data)
+
+
+def test_symbols_may_be_a_tuple():
+    data = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
+    data["symbols"] = ("a", "b")
+    assert world_from_dict(data) == uniform_world(SymbolTable(["a", "b"]))
 
 
 def _drop_key(assignment):
@@ -473,7 +479,7 @@ PERTURBATIONS = {
     "one row short": lambda rows, r, s: rows.pop(r),
 }
 # the perturbations after which the file is still the same world, read a column at a time
-SAME_WORLD = {"none", "rows swapped", "booleans", "keys reordered"}
+SAME_WORLD = {"none", "booleans", "keys reordered"}
 
 
 @st.composite
@@ -497,8 +503,8 @@ def test_column_pass_agrees_with_the_row_loop(case):
     model, data, kind = case
     assert loaded(data) == loaded_by_rows(data)
     if kind in SAME_WORLD:
-        with mock.patch.object(worlds, "parse_rational", _raise), mock.patch.object(
-            SymbolTable, "assignment_index", _raise
+        with mock.patch.object(worlds, "_ratio", _raise), mock.patch.object(
+            worlds, "_row_index", _raise
         ):
             assert loaded(data) == (model.den, model.weights)
 
