@@ -38,6 +38,7 @@ from .worlds import (
     premises,
     uniform_world,
     world_from_dict,
+    world_from_text,
     world_to_dict,
 )
 from .entail import (

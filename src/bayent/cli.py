@@ -30,7 +30,7 @@ from .worlds import (
     parse_premises,
     parse_rational,
     premise_mask,
-    world_from_dict,
+    world_from_text,
 )
 
 EXIT_YES = 0
@@ -42,10 +42,11 @@ class InputError(Exception):
     """User-facing input problem; reported on stderr with exit code 2."""
 
 
-def _load_json(path):
+def _read(path, parse):
+    """parse(fh) on the file at path; read and JSON errors become InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -56,9 +57,13 @@ def _load_json(path):
         raise InputError(f"{path} is nested too deeply") from None
 
 
+def _load_json(path):
+    return _read(path, json.load)
+
+
 def _load_world(path):
     try:
-        return world_from_dict(_load_json(path))
+        return _read(path, lambda fh: world_from_text(fh.read()))
     except WorldError as exc:
         raise InputError(f"bad world file {path}: {exc}") from exc
 

@@ -128,7 +128,7 @@ class SymbolTable:
         index = 0
         for name in self.symbols:
             bit = assignment[name]
-            if bit not in (0, 1, True, False):
+            if type(bit) not in (int, bool) or bit not in (0, 1):  # 1.0 == 1
                 raise ValueError(f"truth value for {name!r} must be 0 or 1")
             index = (index << 1) | int(bit)
         return Valuation(self, index)

@@ -10,20 +10,20 @@ and return `Fraction`s.
 
 from __future__ import annotations
 
+import json
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 from math import gcd, lcm
-from operator import itemgetter, or_
+from operator import add, floordiv, or_
 
 from .formula import (
     _DIGIT_BITS,
     MAX_SYMBOLS,
     FormulaError,
     SymbolTable,
-    _atom_mask,
     parse_formula,
     truth_mask,
 )
@@ -40,8 +40,10 @@ for _t in range(8):  # the bytes v + 2^t have the bits of v and bit t
 _DIGIT = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
 
 _RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_PROB = re.compile(r'"prob": "([0-9]+(?:/[0-9]+)?)"\}')
 
 _BITS = frozenset((0, 1))
+_BIT_TYPES = frozenset((int, bool))  # 1.0 == 1, so _BITS alone lets floats in
 
 
 class WorldError(Exception):
@@ -269,7 +271,9 @@ def uniform_world(table):
 
 
 def parse_rational(text):
-    """Exact rational from a 'p/q' or decimal string."""
+    """Exact rational from a 'p/q' or decimal string; a float raises WorldError."""
+    if isinstance(text, float):
+        raise WorldError(f"cannot parse {text!r} as an exact rational: a float is not exact")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -302,51 +306,19 @@ def _ratio(text):
 #
 # "symbols" is a list of names. Every one of the 2^n assignments must
 # appear exactly once, in any order; truth values are 0/1 or true/false;
-# "prob" accepts rational strings "p/q" or decimal strings parsed exactly.
-
-
-def _column_ratios(table, rows):
-    """(nums, dens) in lowest terms if world_to_dict could have written rows.
-
-    Such rows are 2^n, in valuation index order; each assignment maps
-    exactly the symbols to 0/1 or false/true and each prob is a 'p' or
-    'p/q' digit string with q > 0. The assignments are checked a column
-    at a time: one symbol's values form a byte string, which must equal
-    the selector of its atom mask. Any other file is left to the row loop,
-    which alone raises the errors.
-    """
-    n, size = len(table), table.num_valuations
-    if len(rows) != size:
-        return None
-    try:
-        probs = list(map(itemgetter("prob"), rows))
-        if not all(map(_RATIO.fullmatch, probs)):
-            return None
-        assignments = list(map(itemgetter("assignment"), rows))
-        for k, name in enumerate(table.symbols):
-            # a value bytes() cannot take (1.0, "1", 256) raises
-            if bytes(map(itemgetter(name), assignments)) != _selector(_atom_mask(n, n - 1 - k)):
-                return None
-        if sum(map(len, assignments)) != n * size:  # a key besides the symbols
-            return None
-        nums, dens = [], []
-        for prob in probs:
-            head, _, tail = prob.partition("/")
-            p, q = int(head), int(tail or 1)
-            if not q:
-                return None
-            g = gcd(p, q)
-            nums.append(p // g)
-            dens.append(q // g)
-    except (KeyError, TypeError, ValueError):  # ValueError: more digits than int() converts
-        return None
-    return nums, dens
+# "prob" is an int, a rational string "p/q" or a decimal string parsed
+# exactly. A JSON float, as a prob or a truth value, is refused.
 
 
 def _row_index(assignment, place, table):
     """Valuation index of a row's assignment; place maps each symbol to its bit."""
     try:
-        fast = assignment.keys() == place.keys() and _BITS.issuperset(assignment.values())
+        values = assignment.values()
+        fast = (
+            assignment.keys() == place.keys()
+            and _BITS.issuperset(values)
+            and _BIT_TYPES.issuperset(map(type, values))
+        )
     except (AttributeError, TypeError):
         fast = False
     if fast:
@@ -360,7 +332,7 @@ def world_from_dict(data):
         rows = data["worlds"]
     except (KeyError, TypeError) as exc:
         raise WorldError(f"world JSON must have 'symbols' and 'worlds': {exc}") from exc
-    if isinstance(symbols, (str, Mapping)):
+    if isinstance(symbols, (str, Mapping)) or not isinstance(symbols, Iterable):
         # a string would be read as one symbol per character, a mapping as its keys
         raise WorldError(f"'symbols' must be a list of names, not {type(symbols).__name__}")
     try:
@@ -370,9 +342,6 @@ def world_from_dict(data):
     if not isinstance(rows, list):
         raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
     size = checked_size(table)
-    ratios = _column_ratios(table, rows)
-    if ratios is not None:
-        return WorldModel._from_ratios(table, *ratios)
     n = len(table)
     place = {name: 1 << (n - 1 - k) for k, name in enumerate(table.symbols)}
     nums = [None] * size
@@ -407,6 +376,63 @@ def world_to_dict(model):
             for i in range(model.table.num_valuations)
         ],
     }
+
+
+def world_from_text(text):
+    """world_from_dict(json.loads(text)): the same model, WorldError or JSONDecodeError.
+
+    A text that json.dump(world_to_dict(model), fh) wrote, JSON whitespace
+    after it allowed, is read by the text pass without json.loads.
+    """
+    model = _text_model(text)
+    return world_from_dict(json.loads(text)) if model is None else model
+
+
+_HEAD, _BODY = '{"symbols": ["', '"], "worlds": ['
+_BLOCK_BITS = 8  # the text pass rebuilds 2^8 rows (the last 8 symbols) at a time
+
+
+def _text_model(text):
+    """The text pass: the model if json.dump(world_to_dict(model)) wrote text, else None.
+
+    One regex pulls out the 'p' or 'p/q' digit-string probs. The text is
+    rebuilt from the symbols and those probs, rows in index order with 0/1
+    values, and taken only if the two are equal; then json.loads would give
+    exactly that dict, so the model is the row loop's.
+    """
+    end = text.find(_BODY)
+    if not text.startswith(_HEAD) or end < 0:
+        return None
+    try:  # atom names hold no quote, so the header is exactly '", "'.join(table)
+        table = SymbolTable(text[len(_HEAD):end].split('", "'))
+        size = checked_size(table)
+    except (ValueError, WorldError):
+        return None
+    probs = _PROB.findall(text, end)
+    if len(probs) != size:
+        return None
+    pairs = [(f'"{name}": 0', f'"{name}": 1') for name in table]
+    lows = [", ".join(bits) + '}, "prob": "' for bits in product(*pairs[-_BLOCK_BITS:])]
+    pos, step, sep = end + len(_BODY), len(lows), ""
+    for i, high in enumerate(product(*pairs[:-_BLOCK_BITS])):
+        head = '{"assignment": {' + "".join(bit + ", " for bit in high)
+        tails = map(add, probs[i * step:(i + 1) * step], repeat('"}'))
+        block = sep + ", ".join(map(add, map(head.__add__, lows), tails))
+        if not text.startswith(block, pos):
+            return None
+        pos, sep = pos + len(block), ", "
+    if text[pos:].rstrip(" \t\n\r") != "]}":
+        return None
+    try:
+        terms = list(map(int, "/".join(p if "/" in p else p + "/1" for p in probs).split("/")))
+    except ValueError:  # more digits than int() converts
+        return None
+    nums, dens = terms[::2], terms[1::2]
+    if 0 in dens:  # the row loop refuses 'p/0'
+        return None
+    common = list(map(gcd, nums, dens))
+    nums, dens = list(map(floordiv, nums, common)), list(map(floordiv, dens, common))
+    return WorldModel._from_ratios(table, nums, dens)
 
 
 def parse_premises(texts, table):

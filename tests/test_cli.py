@@ -132,6 +132,21 @@ class TestProb:
         line = run_input_error(capsys, "prob", "--world", path)
         assert "'worlds' must be a list" in line
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 0.1), (1, 0.9)], "cannot parse 0.1 as an exact rational: a float is not"),
+            ([(0, "1/10"), (1.0, "9/10")], "truth value for 'a' must be 0 or 1"),
+            ([(0, 0.1), (1.0, 0.9)], "cannot parse 0.1 as an exact rational"),
+        ],
+        ids=["float probs", "float truth value", "both"],
+    )
+    def test_floats_refused(self, capsys, tmp_path, rows, message):
+        worlds = [{"assignment": {"a": b}, "prob": p} for b, p in rows]
+        path = write_json(tmp_path, "floats.json", {"symbols": ["a"], "worlds": worlds})
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
+        assert message in line
+
     def test_assignment_not_a_mapping(self, capsys, tmp_path, table1_world):
         body = world_to_dict(table1_world)
         body["worlds"][0]["assignment"] = [1]
@@ -176,7 +191,7 @@ class TestProb:
         line = run_input_error(capsys, "prob", "--world", str(path))
         assert line.endswith("deep.json is nested too deeply")
 
-    @pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}])
+    @pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}, None])
     def test_symbols_not_a_list(self, capsys, tmp_path, symbols):
         # a string would be read one symbol per character, a dict as its keys
         body = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
@@ -499,6 +514,22 @@ class TestSimulate:
             capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
         )
         assert "epsilon" in line
+
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            {"kind": "sticky", "epsilon": 0.1},
+            {"kind": "matrix", "rows": [[1, 0, 0, 0]] * 3 + [[0.5, 0.5, 0, 0]]},
+        ],
+        ids=["epsilon", "matrix entry"],
+    )
+    def test_float_in_transition_refused(self, capsys, tmp_path, table1_world, transition):
+        body = {"prior": world_to_dict(table1_world), "transition": transition}
+        path = write_json(tmp_path, "floats.json", {**body, "observations": []})
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
+        )
+        assert "a float is not exact" in line
 
     def test_observation_with_unknown_atom(self, capsys, tmp_path, table1_world):
         path = write_json(

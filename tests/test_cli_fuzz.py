@@ -1,0 +1,153 @@
+"""Malformed world, structure and scenario files never crash the CLI.
+
+Each example writes one file and runs a verb on it in-process. Whatever
+the file holds, the CLI must return 0, 1 or 2; exit 2 must print exactly
+one line, on stderr, and nothing on stdout. An exception escaping main
+(the traceback a user would see) fails the test.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bayent import SymbolTable, random_world, world_to_dict
+from bayent.cli import EXIT_ERROR, main
+
+from conftest import EXAMPLE_EDGES
+from test_worlds import PERTURBATIONS, seeds, zero_fractions
+
+# JSON values a mutation may put anywhere in a document
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# characters a byte edit may write: JSON punctuation, digits, letters and whitespace
+edit_chars = st.sampled_from(list('{}[]",:/0123456789.-+eE ptrufalsn\t\n\\') + ["é", "\x00"])
+
+
+@st.composite
+def text_edits(draw, text):
+    """text with a character replaced, a cut, or whitespace or a character inserted."""
+    at = draw(st.integers(0, len(text)))
+    kind = draw(st.sampled_from(["replace", "truncate", "whitespace", "insert"]))
+    if kind == "truncate":
+        return text[:at]
+    if kind == "whitespace":
+        return text[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r\n"])) + text[at:]
+    cut = at + (kind == "replace")
+    return text[:at] + draw(edit_chars) + text[cut:]
+
+
+@st.composite
+def value_swaps(draw, document):
+    """document with one value, anywhere in it, replaced by a random JSON value."""
+    doc = json.loads(json.dumps(document))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(list(keys)))
+        node = node[key]
+    replacement = draw(json_values)
+    if parent is None:
+        return json.dumps(replacement)
+    parent[key] = replacement
+    return json.dumps(doc)
+
+
+def malformed(draw, document):
+    """The text of document after a text edit or a value swap."""
+    if draw(st.booleans()):
+        return draw(text_edits(json.dumps(document)))
+    return draw(value_swaps(document))
+
+
+@st.composite
+def world_files(draw):
+    """A world over 1 to 4 of the symbols a, b, c, d, written as json.dump writes it and
+    then broken: by a text edit, a value swap or a row perturbation of test_worlds."""
+    table = SymbolTable("abcd"[: draw(st.integers(1, 4))])
+    data = world_to_dict(random_world(table, draw(seeds), draw(zero_fractions)))
+    kind = draw(st.sampled_from(["text", "value", "row"]))
+    if kind == "row":
+        rows = data["worlds"]
+        r, s = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        PERTURBATIONS[draw(st.sampled_from(sorted(PERTURBATIONS)))](rows, r, s)
+        return json.dumps(data)
+    if kind == "text":
+        return draw(text_edits(json.dumps(data)))
+    return draw(value_swaps(data))
+
+
+STRUCTURE = {"universe": [0, 1, 2, 3], "edges": [list(e) for e in EXAMPLE_EDGES]}
+TRANSITIONS = [
+    {"kind": "identity"},
+    {"kind": "sticky", "epsilon": "1/10"},
+    {"kind": "matrix", "rows": [["1/2", "1/2", "0", "0"], ["0", "1", "0", "0"],
+                                ["0", "0", "1", "0"], ["1/4", "1/4", "1/4", "1/4"]]},
+]
+
+
+def scenario(transition):
+    prior = random_world(SymbolTable(["a", "b"]), 7, 0)
+    return {"prior": world_to_dict(prior), "transition": transition,
+            "observations": [["a|b"], ["~a"]]}
+
+
+WORLD_VERBS = [
+    ["prob", "--premise", "a"],
+    ["prob", "--premise", "a", "--conclusion", "b|~a"],
+    ["entail", "--premise", "a", "--conclusion", "a|b", "--omega", "1/2"],
+    ["map-entail", "--premise", "a", "--conclusion", "a"],
+]
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+def check(argv, path, text):
+    """Run argv on a file holding text and check the exit code and output contract."""
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert out == ""
+        assert err.endswith("\n") and len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+    else:
+        assert err == ""
+        json.loads(out)
+
+
+@settings(deadline=None, max_examples=150)
+@given(world_files(), st.sampled_from(WORLD_VERBS))
+def test_malformed_world_files(path, text, verb):
+    check(verb + ["--world"], path, text)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_malformed_structure_files(path, data):
+    argv = ["pref-entail", "--symbols", "a,b", "--premise", "a", "--conclusion", "b",
+            "--structure"]
+    check(argv, path, malformed(data.draw, STRUCTURE))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(TRANSITIONS), st.data())
+def test_malformed_scenario_files(path, transition, data):
+    argv = ["simulate", "--conclusion", "a", "--omega", "1/2", "--scenario"]
+    check(argv, path, malformed(data.draw, scenario(transition)))

@@ -3,13 +3,20 @@
 Each case in cases.json holds an argv, run from inside the data directory,
 and the exact stdout, stderr and exit code the CLI gave for it. The cases
 cover all six verbs, pretty and compact output, and the exit-2 path.
+
+world.json is written by hand (indented, rows shuffled, decimal and
+unreduced probs), so it is read by the row loop. world_dumped.json is the
+same world as json.dump(world_to_dict(model), fh) writes it, which the
+text pass reads; every world.json case is replayed on it as well.
 """
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from bayent import worlds
 from bayent.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -22,13 +29,38 @@ def test_transcript_covers_every_verb():
     assert {case["exit"] for case in CASES} == {0, 1, 2}
 
 
-@pytest.mark.parametrize(
-    "case", CASES, ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(CASES)]
-)
-def test_replay(case, capsys, monkeypatch):
+def replay(argv, case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    code = main(case["argv"])
+    code = main(argv)
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]
     assert code == case["exit"]
+
+
+@pytest.mark.parametrize(
+    "case", CASES, ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(CASES)]
+)
+def test_replay(case, capsys, monkeypatch):
+    replay(case["argv"], case, capsys, monkeypatch)
+
+
+def test_dumped_world_is_world_json_as_json_dump_writes_it():
+    dumped = (GOLDEN / "world_dumped.json").read_text(encoding="utf-8")
+    by_hand = (GOLDEN / "world.json").read_text(encoding="utf-8")
+    model = worlds.world_from_dict(json.loads(by_hand))
+    assert dumped == json.dumps(worlds.world_to_dict(model))
+    with mock.patch.object(worlds, "world_from_dict", side_effect=AssertionError):
+        assert worlds.world_from_text(dumped) == model
+
+
+ON_WORLD_JSON = [(i, case) for i, case in enumerate(CASES) if "world.json" in case["argv"]]
+
+
+@pytest.mark.parametrize(
+    "case", [case for _, case in ON_WORLD_JSON],
+    ids=[f"{i:02d}-{case['argv'][0]}" for i, case in ON_WORLD_JSON],
+)
+def test_replay_on_dumped_world(case, capsys, monkeypatch):
+    argv = ["world_dumped.json" if arg == "world.json" else arg for arg in case["argv"]]
+    replay(argv, case, capsys, monkeypatch)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -23,6 +24,7 @@ from bayent import (
     random_world,
     uniform_world,
     world_from_dict,
+    world_from_text,
     world_to_dict,
 )
 from bayent import worlds
@@ -320,7 +322,7 @@ def test_weight_equals_brute_force_sum(model, data):
         assert model.mass(mask) == Fraction(brute_weight(model, mask), model.den)
 
 
-# --- the column pass against the row loop ------------------------------
+# --- the text pass against json.loads and the row loop -------------------
 
 
 def loaded(data):
@@ -332,10 +334,33 @@ def loaded(data):
     return model.den, model.weights
 
 
-def loaded_by_rows(data):
-    """loaded(data) with the column pass turned off, so the row loop reads every file."""
-    with mock.patch.object(worlds, "_column_ratios", return_value=None):
-        return loaded(data)
+def loaded_text(text):
+    """(den, weights) of world_from_text(text), or the text of its WorldError or
+    JSON error."""
+    try:
+        model = world_from_text(text)
+    except (WorldError, json.JSONDecodeError) as exc:
+        return str(exc)
+    return model.den, model.weights
+
+
+def loaded_via_json(text):
+    """loaded(json.loads(text)), or the text of the JSON error."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    return loaded(data)
+
+
+def _raise(*args):
+    raise AssertionError("the text pass left a world_to_dict text to world_from_dict")
+
+
+def by_text_pass(text):
+    """loaded_text(text) with world_from_dict turned off, so only the text pass reads it."""
+    with mock.patch.object(worlds, "world_from_dict", _raise):
+        return loaded_text(text)
 
 
 def one_symbol_world(prob, rest):
@@ -363,11 +388,11 @@ def test_ratio_fast_path_agrees_with_parse_rational(text):
         with pytest.raises(WorldError) as slow:
             parse_rational(text)
         data = one_symbol_world(text, "1")
-        assert loaded(data) == loaded_by_rows(data) == str(slow.value)
+        assert loaded(data) == loaded_text(json.dumps(data)) == str(slow.value)
         return
     rest = str(1 - value) if 0 <= value <= 1 else "0"
     data = one_symbol_world(text, rest)
-    assert loaded(data) == loaded_by_rows(data)
+    assert loaded(data) == loaded_text(json.dumps(data))
     if 0 <= value <= 1:
         expected = WorldModel(SymbolTable(["a"]), [value, 1 - value])
         assert loaded(data) == (expected.den, expected.weights)
@@ -379,7 +404,7 @@ def test_ratio_of_digit_strings_is_in_lowest_terms(p, q):
     value = Fraction(low, high)
     data = one_symbol_world(f"{low}/{high}", f"{high - low}/{high}")
     expected = WorldModel(SymbolTable(["a"]), [value, 1 - value])
-    assert loaded(data) == (expected.den, expected.weights)
+    assert loaded(data) == by_text_pass(json.dumps(data)) == (expected.den, expected.weights)
 
 
 @given(
@@ -409,12 +434,15 @@ def test_loader_matches_fraction_model(probs, as_bool, scales, rng):
 def test_round_trip_at_n10():
     model = random_world(SymbolTable([f"p{i}" for i in range(10)]), 3, Fraction(1, 4))
     assert world_from_dict(json.loads(json.dumps(world_to_dict(model)))) == model
+    assert by_text_pass(json.dumps(world_to_dict(model))) == (model.den, model.weights)
 
 
 def test_loader_refuses_too_many_symbols_before_allocating():
     data = {"symbols": [f"p{i}" for i in range(21)], "worlds": []}
     with pytest.raises(WorldError, match="cap of 20"):
         world_from_dict(data)
+    with pytest.raises(WorldError, match="cap of 20"):
+        world_from_text(json.dumps(data))
 
 
 @pytest.mark.parametrize(
@@ -434,12 +462,39 @@ def test_loader_keeps_row_messages(assignment, message):
         world_from_dict(data)
 
 
-@pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}])
+@pytest.mark.parametrize(
+    "bits, probs, message",
+    [
+        ((0, 1), (0.1, 0.9), "cannot parse 0.1 as an exact rational: a float is not exact"),
+        ((0, 1), ("1/10", 0.9), "cannot parse 0.9 as an exact rational"),
+        ((0, 1.0), ("1/10", "9/10"), "truth value for 'a' must be 0 or 1"),
+        ((0.0, 1), ("1/10", "9/10"), "truth value for 'a' must be 0 or 1"),
+    ],
+)
+def test_floats_refused(bits, probs, message):
+    data = {
+        "symbols": ["a"],
+        "worlds": [{"assignment": {"a": b}, "prob": p} for b, p in zip(bits, probs)],
+    }
+    with pytest.raises(WorldError, match=message):
+        world_from_dict(data)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        SymbolTable(["a"]).valuation_from_assignment({"a": 1.0})
+
+
+def test_int_and_boolean_values_accepted():
+    data = one_symbol_world(1, 0)
+    data["worlds"][1]["assignment"]["a"] = True
+    assert world_from_dict(data) == WorldModel(SymbolTable(["a"]), [1, 0])
+
+
+@pytest.mark.parametrize("symbols", ["ab", {"a": 0, "b": 1}, None, 2])
 def test_symbols_must_be_a_list(symbols):
     data = world_to_dict(uniform_world(SymbolTable(["a", "b"])))
     data["symbols"] = symbols
     with pytest.raises(WorldError, match="'symbols' must be a list of names"):
         world_from_dict(data)
+    assert loaded(data) == loaded_text(json.dumps(data))
 
 
 def test_symbols_may_be_a_tuple():
@@ -475,43 +530,113 @@ PERTURBATIONS = {
     'prob "0.5"': lambda rows, r, s: rows[r].update(prob="0.5"),
     "prob of 5,000 digits": lambda rows, r, s: rows[r].update(prob="1" + "0" * 4999),
     "prob int 1": lambda rows, r, s: rows[r].update(prob=1),
+    "prob float": lambda rows, r, s: rows[r].update(prob=0.5),
     "duplicate row": lambda rows, r, s: rows.__setitem__(s, json.loads(json.dumps(rows[r]))),
     "one row short": lambda rows, r, s: rows.pop(r),
 }
-# the perturbations after which the file is still the same world, read a column at a time
-SAME_WORLD = {"none", "booleans", "keys reordered"}
+
+
+def _nth(text, old, new, k):
+    """text with the k-th occurrence of old (counted cyclically) replaced by new."""
+    starts = [m.start() for m in re.finditer(re.escape(old), text)]
+    if not starts:
+        return text
+    at = starts[k % len(starts)]
+    return text[:at] + new + text[at + len(old):]
+
+
+def _prob_edit(edit):
+    """A text perturbation that rewrites the k-th "p/q" prob string as edit(p, q)."""
+    def perturb(text, k):
+        found = list(re.finditer(r'"prob": "([0-9]+)(?:/([0-9]+))?"', text))
+        m = found[k % len(found)]
+        new = f'"prob": "{edit(int(m[1]), int(m[2] or 1))}"'
+        return text[:m.start()] + new + text[m.end():]
+    return perturb
+
+
+def _dumped_with(text, **options):
+    return json.dumps(json.loads(text), **options)
+
+
+def _rows_reversed_keys(text):
+    data = json.loads(text)
+    data["worlds"] = [dict(reversed(row.items())) for row in data["worlds"]]
+    return json.dumps(data)
+
+
+def _too_many_symbols(text):
+    data = json.loads(text)
+    data["symbols"] = [f"p{i}" for i in range(21)]
+    return json.dumps(data)
+
+
+# Each perturbation edits a world_to_dict text at (or near) its k-th match or character.
+TEXT_PERTURBATIONS = {
+    "indent": lambda t, k: _dumped_with(t, indent=1),
+    "compact separators": lambda t, k: _dumped_with(t, separators=(",", ":")),
+    "space inserted": lambda t, k: t[:k % len(t)] + " " + t[k % len(t):],
+    "leading space": lambda t, k: " " + t,
+    "trailing newline": lambda t, k: t + "\n",
+    "trailing spaces": lambda t, k: t + " \t\r\n ",
+    "trailing garbage": lambda t, k: t + "x",
+    "key order": lambda t, k: _rows_reversed_keys(t),
+    "escaped name": lambda t, k: _nth(t, '"p', '"\\u0070', k),
+    "escaped key": lambda t, k: _nth(t, '"prob"', '"\\u0070rob"', k),
+    "boolean": lambda t, k: _nth(t, ": 1", ": true", k),
+    "duplicate key": lambda t, k: _nth(t, '{"p0": ', '{"p0": 1, "p0": ', k),
+    "duplicate prob": lambda t, k: _nth(t, '"prob": ', '"prob": "9", "prob": ', k),
+    "prob 2/4": _prob_edit(lambda p, q: f"{2 * p}/{2 * q}"),
+    "prob leading zero": _prob_edit(lambda p, q: f"0{p}/{q}"),
+    "prob 1/0": _prob_edit(lambda p, q: "1/0"),
+    "prob of 5,000 digits": _prob_edit(lambda p, q: "1" + "0" * 4999),
+    "negative prob": _prob_edit(lambda p, q: f"-{p}/{q}"),
+    "sum above 1": _prob_edit(lambda p, q: f"{p + 1}/{q}"),
+    "21 symbols": lambda t, k: _too_many_symbols(t),
+    "truncated": lambda t, k: t[:k % len(t)],
+    "character replaced": lambda t, k: t[:k % len(t)] + "0" + t[k % len(t) + 1:],
+}
+# the perturbations after which json.dump(world_to_dict(...)) could still have written
+# the text, JSON whitespace after it allowed
+TEXT_PASS = {"none", "trailing newline", "trailing spaces", "prob 2/4", "prob leading zero",
+             "sum above 1"}
+# the perturbations after which the text is still the same world
+SAME_WORLD = {"none", "booleans", "keys reordered", "indent", "compact separators",
+              "leading space", "trailing newline", "trailing spaces", "key order",
+              "escaped name", "escaped key", "boolean", "duplicate key", "prob 2/4",
+              "prob leading zero"}
 
 
 @st.composite
-def perturbed_world_files(draw):
+def perturbed_world_texts(draw):
+    """A random world over 1 to 8 symbols, dumped as json.dump does, then perturbed
+    as a dict (PERTURBATIONS) or as text (TEXT_PERTURBATIONS)."""
     table = SymbolTable([f"p{i}" for i in range(draw(st.integers(1, 8)))])
     model = random_world(table, draw(seeds), draw(zero_fractions))
     data = world_to_dict(model)
-    kind = draw(st.sampled_from(sorted(PERTURBATIONS)))
-    rows = data["worlds"]
-    r, s = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
-    PERTURBATIONS[kind](rows, r, s)
-    return model, data, kind
+    kind = draw(st.sampled_from(sorted(PERTURBATIONS) + sorted(TEXT_PERTURBATIONS)))
+    k = draw(st.integers(0, 10**6))
+    if kind in PERTURBATIONS:
+        rows = data["worlds"]
+        PERTURBATIONS[kind](rows, k % len(rows), draw(st.integers(0, len(rows) - 1)))
+        return model, json.dumps(data), kind
+    return model, TEXT_PERTURBATIONS[kind](json.dumps(data), k), kind
 
 
-def _raise(*args):
-    raise AssertionError("the row loop read a regular file")
-
-
-@given(perturbed_world_files())
-def test_column_pass_agrees_with_the_row_loop(case):
-    model, data, kind = case
-    assert loaded(data) == loaded_by_rows(data)
+@given(perturbed_world_texts())
+def test_text_pass_agrees_with_the_row_loop(case):
+    model, text, kind = case
+    expected = loaded_via_json(text)
+    assert loaded_text(text) == expected
+    if kind in TEXT_PASS:
+        assert by_text_pass(text) == expected
     if kind in SAME_WORLD:
-        with mock.patch.object(worlds, "_ratio", _raise), mock.patch.object(
-            worlds, "_row_index", _raise
-        ):
-            assert loaded(data) == (model.den, model.weights)
+        assert expected == (model.den, model.weights)
 
 
-def test_column_pass_stays_within_two_mib_at_n14():
+def _n14_world():
     """2^14 rows in index order with probs 'w/total', w <= 8: the form the
-    benchmark writes. One regex over the joined probs would need 6.9 MiB."""
+    benchmark writes, as a dict, and the model it holds."""
     table = SymbolTable([f"p{i}" for i in range(14)])
     rng = random.Random(14)
     weights = [rng.choice([0, *range(1, 9)]) for _ in range(table.num_valuations)]
@@ -523,14 +648,39 @@ def test_column_pass_stays_within_two_mib_at_n14():
             for i, w in enumerate(weights)
         ],
     }
+    return data, WorldModel(table, [Fraction(w, total) for w in weights])
+
+
+def traced_peak(load, arg):
+    """(result, peak bytes that tracemalloc sees while load(arg) runs)."""
     tracemalloc.start()
     try:
-        model = world_from_dict(data)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = load(arg)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_row_loop_stays_within_two_mib_at_n14():
+    data, expected = _n14_world()
+    model, peak = traced_peak(world_from_dict, data)
     assert peak <= 2 * 2**20
-    assert model == WorldModel(table, [Fraction(w, total) for w in weights])
+    assert model == expected
+
+
+def test_text_pass_peak_at_n14_is_below_json_loads():
+    """The text pass holds the probs and one block of rows, not a dict per row:
+    about 3 MiB, against 12 MiB for json.loads and world_from_dict. The file
+    text itself is made before tracing starts."""
+    data, expected = _n14_world()
+    text = json.dumps(data)
+    del data
+    with mock.patch.object(worlds, "world_from_dict", _raise):
+        model, peak = traced_peak(world_from_text, text)
+    assert model == expected
+    assert peak <= 4 * 2**20
+    _, loads_peak = traced_peak(lambda t: world_from_dict(json.loads(t)), text)
+    assert peak < loads_peak / 2
 
 
 def test_fraction_argument_is_kept():
