@@ -25,7 +25,7 @@ from operator import and_, or_
 from typing import Callable, Optional
 
 from .formula import And, Atom, Bottom, Not, Or, SymbolTable, Top, render, truth_mask
-from .worlds import WorldModel, exact
+from .worlds import WorldModel, _shown, exact
 from .entail import (
     UNIVERSAL,
     bayes_entails,
@@ -285,7 +285,8 @@ class AuditReport:
 
 def case_count(property_name, pool_size, premise_size_cap=1):
     """Cases in one exhaustive check: premise sets times pool-variable tuples."""
-    premise_sets = 1 + sum(comb(pool_size, s) for s in range(1, premise_size_cap + 1))
+    top = min(premise_size_cap, pool_size)  # comb(pool_size, s) is 0 above the pool
+    premise_sets = 1 + sum(comb(pool_size, s) for s in range(1, top + 1))
     return premise_sets * pool_size ** len(PROPERTY_TABLE[property_name][0])
 
 
@@ -445,7 +446,7 @@ _AB = SymbolTable(["a", "b"])
 def _check_open_interval(omega):
     w = exact(omega)
     if not Fraction(1, 2) < w < 1:
-        raise ValueError(f"threshold {w} must lie strictly between 1/2 and 1")
+        raise ValueError(f"threshold {_shown(w)} must lie strictly between 1/2 and 1")
     return w
 
 
@@ -484,8 +485,7 @@ def random_world(table, seed, zero_fraction=0):
     weights = [0 if rng.random() < zf else rng.randint(1, 10_000) for _ in range(size)]
     if not any(weights):
         weights[rng.randrange(size)] = 1
-    total = sum(weights)
-    return WorldModel(table, [Fraction(w, total) for w in weights])
+    return WorldModel.from_weights(table, weights, sum(weights))
 
 
 OMEGA_GRID = (

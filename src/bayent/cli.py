@@ -51,14 +51,10 @@ def _read(path, parse):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON syntax, or an int past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise InputError(f"{path} is nested too deeply") from None
-
-
-def _load_json(path):
-    return _read(path, json.load)
 
 
 def _load_world(path):
@@ -70,7 +66,7 @@ def _load_world(path):
 
 def _load_structure(path, table):
     try:
-        return structure_from_dict(_load_json(path), table)
+        return structure_from_dict(_read(path, json.load), table)
     except StructureError as exc:
         raise InputError(f"bad structure file {path}: {exc}") from exc
 
@@ -94,32 +90,29 @@ def _parse_omega(text):
 def _parse_formulas(args, table):
     try:
         delta = parse_premises(args.premise or [], table)
-        conclusion = (
-            parse_formula(args.conclusion, table)
-            if getattr(args, "conclusion", None)
-            else None
-        )
+        text = getattr(args, "conclusion", None)
+        conclusion = parse_formula(text, table) if text else None
     except FormulaError as exc:
         raise InputError(str(exc)) from exc
     return delta, conclusion
 
 
-def _emit(payload, pretty):
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=False))
+def _emit(build, pretty):
+    """Print the payload that build() makes of exact results as JSON."""
+    try:
+        payload = build()
+    except ValueError:  # str() refused an int past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"an exact result has more than {limit} digits to print") from None
+    indent, separators = (2, None) if pretty else (None, (",", ":"))
+    print(json.dumps(payload, indent=indent, separators=separators))
 
 
 def _cmd_prob(args):
     model = _load_world(args.world)
     delta, conclusion = _parse_formulas(args, model.table)
-    if conclusion is None:
-        payload = {"probability": str(model.prob(delta))}
-    else:
-        p = model.conditional(conclusion, delta)
-        payload = {"probability": None if p is None else str(p)}
-    _emit(payload, args.pretty)
+    p = model.prob(delta) if conclusion is None else model.conditional(conclusion, delta)
+    _emit(lambda: {"probability": None if p is None else str(p)}, args.pretty)
     return EXIT_YES
 
 
@@ -127,7 +120,7 @@ def _cmd_entail(args):
     model = _load_world(args.world)
     delta, conclusion = _parse_formulas(args, model.table)
     verdict = bayes_entails(model, delta, conclusion, _parse_omega(args.omega))
-    _emit(verdict.to_dict(), args.pretty)
+    _emit(verdict.to_dict, args.pretty)
     return EXIT_YES if verdict.holds else EXIT_NO
 
 
@@ -135,7 +128,7 @@ def _cmd_map_entail(args):
     model = _load_world(args.world)
     delta, conclusion = _parse_formulas(args, model.table)
     verdict = map_entails(model, delta, conclusion, args.mode)
-    _emit(verdict.to_dict(), args.pretty)
+    _emit(verdict.to_dict, args.pretty)
     return EXIT_YES if verdict.holds else EXIT_NO
 
 
@@ -146,7 +139,7 @@ def _cmd_pref_entail(args):
     holds = structure.pref_entails(delta, conclusion)
     maximal = structure.maximal_mask(premise_mask(delta, table))
     payload = {"holds": holds, "maximal_models": valuation_rows(table, maximal)}
-    _emit(payload, args.pretty)
+    _emit(lambda: payload, args.pretty)
     return EXIT_YES if holds else EXIT_NO
 
 
@@ -180,8 +173,7 @@ def _cmd_audit(args):
             ]
     except audit_mod.AuditError as exc:
         raise InputError(str(exc)) from exc
-    payload = {"reports": [r.to_dict() for r in reports]}
-    _emit(payload, args.pretty)
+    _emit(lambda: {"reports": [r.to_dict() for r in reports]}, args.pretty)
     failed = any(r.verdict != "pass" for r in reports)
     return EXIT_NO if failed else EXIT_YES
 
@@ -189,7 +181,7 @@ def _cmd_audit(args):
 def _cmd_simulate(args):
     try:
         model, observations = temporal_mod.scenario_from_dict(
-            _load_json(args.scenario)
+            _read(args.scenario, json.load)
         )
     except temporal_mod.TemporalError as exc:
         raise InputError(f"bad scenario file {args.scenario}: {exc}") from exc
@@ -199,18 +191,15 @@ def _cmd_simulate(args):
         raise InputError(str(exc)) from exc
     omega = _parse_omega(args.omega)
 
-    steps = []
-    belief = model.initial_belief()
+    beliefs = [model.initial_belief()]
     for delta in observations:
-        belief = temporal_mod.filter_step(model, belief, delta)
-        steps.append(
-            {
-                "alive": belief.alive,
-                "weights": [str(w) for w in belief.weights],
-            }
-        )
-    verdict = temporal_mod.belief_verdict(model, belief, conclusion, omega)
-    payload = {"steps": steps, "verdict": verdict.to_dict()}
+        beliefs.append(temporal_mod.filter_step(model, beliefs[-1], delta))
+    verdict = temporal_mod.belief_verdict(model, beliefs[-1], conclusion, omega)
+
+    def payload():
+        steps = [{"alive": b.alive, "weights": list(map(str, b.weights))} for b in beliefs[1:]]
+        return {"steps": steps, "verdict": verdict.to_dict()}
+
     _emit(payload, args.pretty)
     return EXIT_YES if verdict.holds else EXIT_NO
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .formula import truth_mask
-from .worlds import _indices, exact, premise_mask
+from .worlds import _indices, _shown, exact, premise_mask
 
 UNIVERSAL = "universal"
 EXISTENTIAL = "existential"
@@ -22,7 +22,7 @@ def check_threshold(omega):
     """Validate and normalize a threshold to an exact Fraction in [0, 1]."""
     w = exact(omega)
     if not 0 <= w <= 1:
-        raise ValueError(f"threshold {w} outside [0, 1]")
+        raise ValueError(f"threshold {_shown(w)} outside [0, 1]")
     return w
 
 

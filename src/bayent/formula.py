@@ -119,6 +119,10 @@ class SymbolTable:
 
     def valuation_from_assignment(self, assignment):
         """Build a valuation from a {name: 0/1} mapping covering every symbol."""
+        return Valuation(self, self.index_of(assignment))
+
+    def index_of(self, assignment):
+        """Valuation index of a {name: 0/1} mapping covering every symbol."""
         missing = [s for s in self.symbols if s not in assignment]
         if missing:
             raise ValueError(f"assignment missing symbols {missing}")
@@ -131,7 +135,7 @@ class SymbolTable:
             if type(bit) not in (int, bool) or bit not in (0, 1):  # 1.0 == 1
                 raise ValueError(f"truth value for {name!r} must be 0 or 1")
             index = (index << 1) | int(bit)
-        return Valuation(self, index)
+        return index
 
 
 @dataclass(frozen=True, slots=True, repr=False)

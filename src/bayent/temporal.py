@@ -21,6 +21,7 @@ from .worlds import (
     WorldError,
     WorldModel,
     _selector,
+    _shown,
     exact,
     parse_premises,
     parse_rational,
@@ -55,7 +56,7 @@ def sticky_transition(size, epsilon):
     """Stay with probability 1-epsilon, else move uniformly to another state."""
     eps = exact(epsilon)
     if not 0 <= eps <= 1:
-        raise TemporalError(f"epsilon {eps} outside [0, 1]")
+        raise TemporalError(f"epsilon {_shown(eps)} outside [0, 1]")
     stay, off = (1 - eps, eps / (size - 1)) if size > 1 else (Fraction(1), 0)
     return tuple((off,) * i + (stay,) + (off,) * (size - 1 - i) for i in range(size))
 
@@ -84,7 +85,7 @@ class TemporalModel:
             if min(row) < 0:
                 raise TemporalError(f"negative entry in transition row {r}")
             if sum(row) != den:
-                total = Fraction(sum(row), den)
+                total = _shown(Fraction(sum(row), den))
                 raise TemporalError(f"transition row {r} sums to {total}, not 1")
         self.table = table
         self.prior = self._prior.probs
@@ -201,8 +202,10 @@ def scenario_from_dict(data):
     elif kind == "sticky":
         try:
             epsilon = parse_rational(transition_spec["epsilon"])
-        except (KeyError, WorldError) as exc:
-            raise TemporalError(f"sticky transition needs an 'epsilon': {exc}") from exc
+        except KeyError:
+            raise TemporalError("sticky transition needs an 'epsilon'") from None
+        except WorldError as exc:
+            raise TemporalError(f"bad sticky 'epsilon': {exc}") from exc
         transition = sticky_transition(table.num_valuations, epsilon)
     elif kind == "matrix":
         try:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, product, repeat
 from math import gcd, lcm
-from operator import add, floordiv, or_
+from operator import add, mul, or_
 
 from .formula import (
     _DIGIT_BITS,
@@ -39,11 +39,11 @@ for _t in range(8):  # the bytes v + 2^t have the bits of v and bit t
 # _DIGIT[t] maps a byte to the ASCII digit of its bit t.
 _DIGIT = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
 
-_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 _PROB = re.compile(r'"prob": "([0-9]+(?:/[0-9]+)?)"\}')
 
-_BITS = frozenset((0, 1))
-_BIT_TYPES = frozenset((int, bool))  # 1.0 == 1, so _BITS alone lets floats in
+# 10^e has e + 1 digits; int() refuses to read more than 4300 of them from a string
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
 
 
 class WorldError(Exception):
@@ -51,12 +51,25 @@ class WorldError(Exception):
 
 
 def exact(value):
-    """value as a Fraction; a float raises TypeError, since 0.3 is not 3/10."""
+    """value as a Fraction; a float raises TypeError, since 0.3 is not 3/10, and a
+    decimal exponent above MAX_EXPONENT raises ValueError before 10^e is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; give an int, Fraction or 'p/q'")
+    exponent = None if isinstance(value, int) else _EXPONENT.search(str(value))
+    if exponent and int(exponent[1]) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent[1]} is above {MAX_EXPONENT}")
     return Fraction(value)
+
+
+def _shown(x):
+    """str(x), or its size when it has more digits than str() may print."""
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        num, den = x.numerator.bit_length(), x.denominator.bit_length()
+        return f"a ratio of {num}-bit and {den}-bit ints"
 
 
 def premises(*formulas):
@@ -152,45 +165,47 @@ def checked_size(table):
 class WorldModel:
     """Distribution p over the valuations of a symbol table.
 
-    p(v_i) = weights[i] / den, den being the least common denominator;
-    planes[b] is the mask of the indices whose weight has bit b set, and
-    support_mask, their OR, the mask of the non-zero weights. Immutable
-    after validation. Queries are pure, so a shared model may
-    be used concurrently without coordination.
+    p(v_i) = weights[i] / den in lowest terms; planes[b] is the mask of the
+    indices whose weight has bit b set, and support_mask, their OR, the mask
+    of the non-zero weights. from_weights validates every model, which is
+    immutable after. Queries are pure, so a shared model may be used
+    concurrently without coordination.
     """
 
     def __init__(self, table, probs):
-        checked_size(table)
+        checked_size(table)  # before a Fraction per entry of a too-large table
         entries = [exact(p) for p in probs]
-        self._set_weights(
-            table, [p.numerator for p in entries], [p.denominator for p in entries]
-        )
+        nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
+        vars(self).update(vars(WorldModel.from_weights(table, *_over_lcm(nums, dens))))
 
     @classmethod
-    def _from_ratios(cls, table, nums, dens):
-        """Model with p(v_i) = nums[i] / dens[i], each ratio in lowest terms."""
-        model = cls.__new__(cls)
-        model._set_weights(table, nums, dens)
-        return model
+    def from_weights(cls, table, weights, den):
+        """The validated model with p(v_i) = weights[i] / den.
 
-    def _set_weights(self, table, nums, dens):
-        size = table.num_valuations
-        if len(nums) != size:
-            raise WorldError(f"need {size} probabilities, got {len(nums)}")
-        den = lcm(*dens)
-        weights = tuple(p * (den // q) for p, q in zip(nums, dens))
+        weights are one non-negative int per valuation, summing to den > 0;
+        gcd(den, *weights) is divided out, so equal models have equal
+        (den, weights).
+        """
+        size = checked_size(table)
+        if len(weights) != size:
+            raise WorldError(f"need {size} probabilities, got {len(weights)}")
         if min(weights) < 0:
             i = next(i for i, w in enumerate(weights) if w < 0)
-            p = Fraction(nums[i], dens[i])
+            p = _shown(Fraction(weights[i], den))
             raise WorldError(f"negative probability {p} at valuation index {i}")
-        if sum(weights) != den:
-            total = Fraction(sum(weights), den)
-            raise WorldError(f"probabilities sum to {total}, off by {1 - total}")
-        self.table = table
-        self.weights = weights
-        self.den = den
-        self.planes = _planes(weights)
-        self.support_mask = reduce(or_, self.planes)
+        total = sum(weights)
+        if total != den:
+            total = Fraction(total, den)
+            off = _shown(1 - total)
+            raise WorldError(f"probabilities sum to {_shown(total)}, off by {off}")
+        g = reduce(gcd, weights, den)  # gcd(den, *weights) would copy them
+        model = cls.__new__(cls)
+        model.table = table
+        model.weights = tuple(w // g for w in weights) if g > 1 else tuple(weights)
+        model.den = den // g
+        model.planes = _planes(model.weights)
+        model.support_mask = reduce(or_, model.planes)
+        return model
 
     @cached_property
     def probs(self):
@@ -248,8 +263,8 @@ class WorldModel:
         if kept == 0:
             return UNDEFINED
         selector = _selector(dmask).ljust(len(self.weights), b"\0")
-        probs = [Fraction(w * bit, kept) for w, bit in zip(self.weights, selector)]
-        return WorldModel(self.table, probs)
+        weights = tuple(map(mul, self.weights, selector))
+        return WorldModel.from_weights(self.table, weights, kept)
 
     def support(self):
         """Valuations with strictly positive probability."""
@@ -266,8 +281,8 @@ def make_world(table, probs):
 
 
 def uniform_world(table):
-    n = table.num_valuations
-    return WorldModel(table, [Fraction(1, n)] * n)
+    n = checked_size(table)
+    return WorldModel.from_weights(table, [1] * n, n)
 
 
 def parse_rational(text):
@@ -275,28 +290,15 @@ def parse_rational(text):
     if isinstance(text, float):
         raise WorldError(f"cannot parse {text!r} as an exact rational: a float is not exact")
     try:
-        return Fraction(str(text))
+        return exact(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise WorldError(f"cannot parse {text!r} as an exact rational: {exc}") from exc
 
 
-def _ratio(text):
-    """parse_rational(text) as a (numerator, denominator) pair in lowest terms.
-
-    Plain 'p' and 'p/q' digit strings are split directly; anything else
-    (decimals, signs, spaces, zero denominators) goes through parse_rational.
-    """
-    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-    if match:
-        try:
-            p, q = int(match[1]), int(match[2] or 1)
-        except ValueError:  # more digits than int() converts
-            q = 0
-        if q:
-            g = gcd(p, q)
-            return p // g, q // g
-    value = parse_rational(text)
-    return value.numerator, value.denominator
+def _over_lcm(nums, dens):
+    """(weights, den): the ratios nums[i] / dens[i] over the lcm of dens."""
+    den = lcm(*dens)
+    return tuple(p * (den // q) for p, q in zip(nums, dens)), den
 
 
 # --- JSON world files --------------------------------------------------
@@ -308,22 +310,6 @@ def _ratio(text):
 # appear exactly once, in any order; truth values are 0/1 or true/false;
 # "prob" is an int, a rational string "p/q" or a decimal string parsed
 # exactly. A JSON float, as a prob or a truth value, is refused.
-
-
-def _row_index(assignment, place, table):
-    """Valuation index of a row's assignment; place maps each symbol to its bit."""
-    try:
-        values = assignment.values()
-        fast = (
-            assignment.keys() == place.keys()
-            and _BITS.issuperset(values)
-            and _BIT_TYPES.issuperset(map(type, values))
-        )
-    except (AttributeError, TypeError):
-        fast = False
-    if fast:
-        return sum(compress(place.values(), map(assignment.__getitem__, place)))
-    return table.valuation_from_assignment(assignment).index
 
 
 def world_from_dict(data):
@@ -342,14 +328,12 @@ def world_from_dict(data):
     if not isinstance(rows, list):
         raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
     size = checked_size(table)
-    n = len(table)
-    place = {name: 1 << (n - 1 - k) for k, name in enumerate(table.symbols)}
     nums = [None] * size
     dens = [1] * size
     for row in rows:
         try:
             assignment = row["assignment"]
-            index = _row_index(assignment, place, table)
+            index = table.index_of(assignment)
             prob = row["prob"]
         except KeyError as exc:
             raise WorldError(f"world row {row!r} has no {exc} key") from exc
@@ -357,25 +341,19 @@ def world_from_dict(data):
             raise WorldError(f"bad world row {row!r}: {exc}") from exc
         if nums[index] is not None:
             raise WorldError(f"assignment {assignment} appears twice")
-        nums[index], dens[index] = _ratio(prob)
+        value = parse_rational(prob)
+        nums[index], dens[index] = value.numerator, value.denominator
     if None in nums:
         missing = [i for i, p in enumerate(nums) if p is None]
         first = table.valuation(missing[0]).assignment()
         raise WorldError(f"missing {len(missing)} assignments, e.g. {first}")
-    return WorldModel._from_ratios(table, nums, dens)
+    return WorldModel.from_weights(table, *_over_lcm(nums, dens))
 
 
 def world_to_dict(model):
-    return {
-        "symbols": list(model.table.symbols),
-        "worlds": [
-            {
-                "assignment": model.table.valuation(i).assignment(),
-                "prob": str(model.probs[i]),
-            }
-            for i in range(model.table.num_valuations)
-        ],
-    }
+    assign, probs = model.table.assignment, model.probs
+    rows = [{"assignment": assign(i), "prob": str(p)} for i, p in enumerate(probs)]
+    return {"symbols": list(model.table.symbols), "worlds": rows}
 
 
 def world_from_text(text):
@@ -430,9 +408,7 @@ def _text_model(text):
     nums, dens = terms[::2], terms[1::2]
     if 0 in dens:  # the row loop refuses 'p/0'
         return None
-    common = list(map(gcd, nums, dens))
-    nums, dens = list(map(floordiv, nums, common)), list(map(floordiv, dens, common))
-    return WorldModel._from_ratios(table, nums, dens)
+    return WorldModel.from_weights(table, *_over_lcm(nums, dens))
 
 
 def parse_premises(texts, table):

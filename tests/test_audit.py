@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,12 @@ class TestParametricWorlds:
             monotony_counterexample_world(omega)
         with pytest.raises(ValueError):
             cut_counterexample_world(omega)
+
+    def test_threshold_too_long_to_print_is_named_by_its_size(self):
+        # str(10^4300) has 4301 digits, one more than Python prints
+        message = "threshold a ratio of 14285-bit and 1-bit ints must lie strictly between"
+        with pytest.raises(ValueError, match=message):
+            monotony_counterexample_world("1e4300")
 
 
 class TestRandomWorld:
@@ -328,6 +335,14 @@ class TestCaseBudget:
         assert case_count("monotony", 16, 0) == 256
         assert case_count("cut", 16, -1) == 256
         assert case_count("reflexivity", 4, 9) == 2**4 * 4
+
+    def test_cap_above_the_pool_counts_every_premise_set(self):
+        # comb(16, s) is 0 for s > 16, so the sum stops at the pool; summing
+        # to a cap of 10^7 took over a second
+        start = time.perf_counter()
+        assert case_count("cut", 16, 10**7) == case_count("cut", 16, 16) == 2**16 * 16**2
+        assert case_count("or", 90, 10**7) == 2**90 * 90**3
+        assert time.perf_counter() - start < 0.5
 
     def test_budget_sits_above_the_largest_count_in_use(self):
         assert case_count("or", 90, 1) < MAX_CASES < case_count("or", 90, 2)

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -202,6 +203,38 @@ class TestProb:
         assert line.endswith(f"'symbols' must be a list of names, not {kind}")
 
 
+    @pytest.mark.parametrize(
+        "prob, message",
+        [
+            ("1e5000", "cannot parse '1e5000' as an exact rational: exponent 5000 is above 4300"),
+            ("1e4300", "probabilities sum to a ratio of 14285-bit and 1-bit ints, off by -999"),
+        ],
+        ids=["exponent past the limit", "sum too long to print"],
+    )
+    def test_prob_past_the_digit_limit(self, capsys, tmp_path, prob, message):
+        rows = [{"assignment": {"a": 0}, "prob": prob}, {"assignment": {"a": 1}, "prob": "0"}]
+        path = write_json(tmp_path, "big.json", {"symbols": ["a"], "worlds": rows})
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
+        assert line.startswith(f"error: bad world file {path}: {message}")
+
+    def test_result_too_long_to_print(self, capsys, tmp_path):
+        # every prob has under 2,600 digits, but p(~b) = 1/d1 + 1/d2 has about 4,450
+        d1, d2 = 2 * 3**4000, 2 * 7**3000
+        probs = [f"1/{d1}", f"{d1 // 2 - 1}/{d1}", f"1/{d2}", f"{d2 // 2 - 1}/{d2}"]
+        world = {
+            "symbols": ["a", "b"],
+            "worlds": [
+                {"assignment": {"a": i >> 1, "b": i & 1}, "prob": p} for i, p in enumerate(probs)
+            ],
+        }
+        path = write_json(tmp_path, "long.json", world)
+        code, out = run(capsys, "prob", "--world", path, "--premise", "~a")
+        assert (code, out) == (EXIT_YES, {"probability": "1/2"})
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "~b")
+        limit = sys.get_int_max_str_digits()
+        assert line == f"error: an exact result has more than {limit} digits to print"
+
+
 class TestEntail:
     def args(self, world, omega):
         return [
@@ -240,6 +273,19 @@ class TestEntail:
             ["entail", "--world", world_file, "--conclusion", "a & | b", "--omega", "1"]
         )
         assert code == EXIT_ERROR
+
+    def test_omega_exponent_past_the_limit(self, capsys, world_file):
+        # Fraction("1e100000000") alone ran for minutes
+        start = time.perf_counter()
+        line = run_input_error(
+            capsys, "entail", "--world", world_file, "--conclusion", "a",
+            "--omega", "1e100000000",
+        )
+        assert time.perf_counter() - start < 1
+        assert line == (
+            "error: cannot parse '1e100000000' as an exact rational: "
+            "exponent 100000000 is above 4300"
+        )
 
     def test_deterministic_output(self, capsys, world_file):
         _, first = run(capsys, *self.args(world_file, "0.6"))
@@ -441,6 +487,21 @@ class TestAudit:
             "over the budget of 100,000,000"
         )
 
+    def test_premise_cap_far_above_the_pool_exits_at_once(self, capsys, tmp_path):
+        # the case count once summed comb(90, s) for every s up to the cap
+        world = world_to_dict(uniform_world(SymbolTable(["a", "b", "c"])))
+        path = write_json(tmp_path, "abc.json", world)
+        start = time.perf_counter()
+        line = run_input_error(
+            capsys, "audit", "--world", path, "--omega", "3/5", "--property", "cut",
+            "--premise-cap", "1000000000",
+        )
+        assert time.perf_counter() - start < 1
+        assert line == (
+            "error: cut over 90 formulas at premise cap 1000000000 is "
+            f"{2**90 * 90**2:,} cases, over the budget of 100,000,000"
+        )
+
     def test_unknown_property_message(self, capsys, world_file):
         line = run_input_error(
             capsys, "audit", "--world", world_file, "--omega", "1", "--property", "x"
@@ -530,6 +591,54 @@ class TestSimulate:
             capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
         )
         assert "a float is not exact" in line
+
+    @pytest.mark.parametrize(
+        "transition, message",
+        [
+            ({"kind": "sticky"}, "sticky transition needs an 'epsilon'"),
+            (
+                {"kind": "sticky", "epsilon": 0.1},
+                "bad sticky 'epsilon': cannot parse 0.1 as an exact rational: "
+                "a float is not exact",
+            ),
+            (
+                {"kind": "sticky", "epsilon": "1e100000000"},
+                "bad sticky 'epsilon': cannot parse '1e100000000' as an exact rational: "
+                "exponent 100000000 is above 4300",
+            ),
+            (
+                {"kind": "sticky", "epsilon": "1e4300"},
+                "epsilon a ratio of 14285-bit and 1-bit ints outside [0, 1]",
+            ),
+            (
+                {"kind": "matrix", "rows": [["1", "0", "0", "0"]] * 3 + [["-1e5000"] * 4]},
+                "bad transition matrix: cannot parse '-1e5000' as an exact rational: "
+                "exponent 5000 is above 4300",
+            ),
+        ],
+        ids=["missing", "float", "exponent past the limit", "too long to print", "matrix"],
+    )
+    def test_transition_messages(self, capsys, tmp_path, table1_world, transition, message):
+        body = {"prior": world_to_dict(table1_world), "transition": transition}
+        path = write_json(tmp_path, "eps.json", {**body, "observations": []})
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1"
+        )
+        assert line == f"error: bad scenario file {path}: {message}"
+
+    def test_weights_too_long_to_print(self, capsys, tmp_path, table1_world):
+        # each step multiplies the counts by about 1000000007 * 3
+        body = {
+            "prior": world_to_dict(table1_world),
+            "transition": {"kind": "sticky", "epsilon": "1/1000000007"},
+            "observations": [["a | b"]] * 600,
+        }
+        path = write_json(tmp_path, "long.json", body)
+        line = run_input_error(
+            capsys, "simulate", "--scenario", path, "--conclusion", "a", "--omega", "1/2"
+        )
+        limit = sys.get_int_max_str_digits()
+        assert line == f"error: an exact result has more than {limit} digits to print"
 
     def test_observation_with_unknown_atom(self, capsys, tmp_path, table1_world):
         path = write_json(
@@ -672,6 +781,23 @@ def test_file_not_utf8(capsys, tmp_path, argv):
     path.write_bytes('{"symbols": ["\xe9"]}'.encode("latin-1"))
     line = run_input_error(capsys, *[str(path) if a == "FILE" else a for a in argv])
     assert line.startswith(f"error: {path} is not valid UTF-8: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--world", "FILE", "--premise", "a"],
+        ["pref-entail", "--structure", "FILE", "--symbols", "a,b", "--conclusion", "a"],
+        ["simulate", "--scenario", "FILE", "--conclusion", "a", "--omega", "1/2"],
+    ],
+    ids=["world", "structure", "scenario"],
+)
+def test_json_int_past_the_digit_limit(capsys, tmp_path, argv):
+    # json.load refuses it with a ValueError that is not a JSONDecodeError
+    path = tmp_path / "big.json"
+    path.write_text('{"symbols": [' + "1" * 5000 + "]}")
+    line = run_input_error(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert line.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
 
 
 def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, capsys):

@@ -20,10 +20,13 @@ from bayent.cli import EXIT_ERROR, main
 from conftest import EXAMPLE_EDGES
 from test_worlds import PERTURBATIONS, seeds, zero_fractions
 
+# decimal exponents at and past the limit on what int() reads; Fraction alone would
+# spend minutes building 10^100000000
+EXPONENTS = ["1e4300", "-1e4300", "1e-4300", "1e5000", "-1e-5000", "1e100000000"]
 # JSON values a mutation may put anywhere in a document
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats(allow_nan=False)
-    | st.text(max_size=5),
+    | st.text(max_size=5) | st.sampled_from(EXPONENTS),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
@@ -72,10 +75,15 @@ def malformed(draw, document):
 @st.composite
 def world_files(draw):
     """A world over 1 to 4 of the symbols a, b, c, d, written as json.dump writes it and
-    then broken: by a text edit, a value swap or a row perturbation of test_worlds."""
+    then broken: by a text edit, a value swap, a row perturbation of test_worlds or an
+    exponent string as a prob."""
     table = SymbolTable("abcd"[: draw(st.integers(1, 4))])
     data = world_to_dict(random_world(table, draw(seeds), draw(zero_fractions)))
-    kind = draw(st.sampled_from(["text", "value", "row"]))
+    kind = draw(st.sampled_from(["text", "value", "row", "exponent"]))
+    if kind == "exponent":
+        row = draw(st.sampled_from(data["worlds"]))
+        row["prob"] = draw(st.sampled_from(EXPONENTS))
+        return json.dumps(data)
     if kind == "row":
         rows = data["worlds"]
         r, s = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
@@ -146,8 +154,30 @@ def test_malformed_structure_files(path, data):
     check(argv, path, malformed(data.draw, STRUCTURE))
 
 
+@st.composite
+def exponent_scenarios(draw):
+    """A scenario with an exponent string as a prior prob, the sticky epsilon or a
+    transition matrix entry."""
+    doc = scenario(json.loads(json.dumps(draw(st.sampled_from(TRANSITIONS[1:])))))
+    exponent = draw(st.sampled_from(EXPONENTS))
+    transition = doc["transition"]
+    if draw(st.booleans()):
+        draw(st.sampled_from(doc["prior"]["worlds"]))["prob"] = exponent
+    elif transition["kind"] == "sticky":
+        transition["epsilon"] = exponent
+    else:
+        draw(st.sampled_from(transition["rows"]))[draw(st.integers(0, 3))] = exponent
+    return json.dumps(doc)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.sampled_from(TRANSITIONS), st.data())
 def test_malformed_scenario_files(path, transition, data):
     argv = ["simulate", "--conclusion", "a", "--omega", "1/2", "--scenario"]
     check(argv, path, malformed(data.draw, scenario(transition)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(exponent_scenarios())
+def test_exponents_in_scenario_files(path, text):
+    check(["simulate", "--conclusion", "a", "--omega", "1/2", "--scenario"], path, text)

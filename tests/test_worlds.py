@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -28,7 +29,7 @@ from bayent import (
     world_to_dict,
 )
 from bayent import worlds
-from bayent.worlds import _indices, exact, premise_mask
+from bayent.worlds import MAX_EXPONENT, _indices, exact, premise_mask
 
 from test_formula import formulas, _TABLE
 
@@ -322,6 +323,87 @@ def test_weight_equals_brute_force_sum(model, data):
         assert model.mass(mask) == Fraction(brute_weight(model, mask), model.den)
 
 
+# --- the one validated (weights, den) constructor ------------------------
+
+
+@st.composite
+def unreduced_weights(draw):
+    """(table, weights, den): weights of every width over 1 to 6 symbols, summing to
+    den, all times a common factor, so gcd(den, *weights) is rarely 1."""
+    n = draw(st.integers(1, 6))
+    raw = draw(st.lists(WEIGHTS, min_size=1 << n, max_size=1 << n).filter(any))
+    scale = draw(st.sampled_from([1, 2, 6, 2**70]) | st.integers(1, 10**6))
+    return SymbolTable("abcdef"[:n]), [w * scale for w in raw], sum(raw) * scale
+
+
+@given(unreduced_weights())
+def test_from_weights_equals_the_fraction_model(case):
+    table, weights, den = case
+    model = WorldModel.from_weights(table, weights, den)
+    expected = WorldModel(table, [Fraction(w, den) for w in weights])
+    assert model == expected
+    assert (model.planes, model.support_mask) == (expected.planes, expected.support_mask)
+    assert repr(model) == repr(expected)
+    assert gcd(model.den, *model.weights) == 1
+
+
+@pytest.mark.parametrize(
+    "weights, den, message",
+    [
+        ([1], 1, "need 2 probabilities, got 1"),
+        ([2, -1], 1, "negative probability -1 at valuation index 1"),
+        ([4, -2], 2, "negative probability -1 at valuation index 1"),
+        ([1, 2], 4, "probabilities sum to 3/4, off by 1/4"),
+    ],
+)
+def test_from_weights_refuses_what_the_fraction_model_refuses(weights, den, message):
+    table = SymbolTable(["a"])
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(WorldError, match=pattern):
+        WorldModel.from_weights(table, weights, den)
+    with pytest.raises(WorldError, match=pattern):
+        WorldModel(table, [Fraction(w, den) for w in weights])
+
+
+@given(integer_worlds(n=3), st.lists(formulas(), max_size=2))
+def test_posterior_equals_the_fraction_model(model, delta_list):
+    delta = frozenset(delta_list)
+    dmask = premise_mask(delta, model.table)
+    kept = model.weight(dmask)
+    posterior = model.posterior(delta)
+    if kept == 0:
+        assert posterior is UNDEFINED
+        return
+    probs = [Fraction(w * (dmask >> i & 1), kept) for i, w in enumerate(model.weights)]
+    assert posterior == WorldModel(model.table, probs)
+    assert repr(posterior) == repr(WorldModel(model.table, probs))
+
+
+@given(st.integers(1, 8), seeds, zero_fractions)
+def test_uniform_and_random_worlds_equal_their_fraction_models(n, seed, zf):
+    table = SymbolTable([f"p{i}" for i in range(n)])
+    size = table.num_valuations
+    assert uniform_world(table) == WorldModel(table, [Fraction(1, size)] * size)
+    rng = random.Random(seed)  # random_world's draws, as a list of Fractions
+    weights = [0 if rng.random() < zf else rng.randint(1, 10_000) for _ in range(size)]
+    if not any(weights):
+        weights[rng.randrange(size)] = 1
+    expected = WorldModel(table, [Fraction(w, sum(weights)) for w in weights])
+    assert random_world(table, seed, zf) == expected
+
+
+def test_integer_paths_build_no_fraction():
+    """posterior, uniform_world and the text pass reach the model without a Fraction."""
+    table = SymbolTable([f"p{i}" for i in range(10)])
+    model = random_world(table, 5, Fraction(1, 4))
+    text = json.dumps(world_to_dict(model))
+    expected = model.posterior({parse_formula("p0 | ~p3", table)})
+    with mock.patch.object(worlds, "Fraction", side_effect=AssertionError("Fraction built")):
+        assert model.posterior({parse_formula("p0 | ~p3", table)}) == expected
+        assert uniform_world(table).den == table.num_valuations
+        assert world_from_text(text) == model
+
+
 # --- the text pass against json.loads and the row loop -------------------
 
 
@@ -377,14 +459,23 @@ TRICKY_RATIONALS = [
     "2/4", "0/7", "007/014", "3", "0", " 1/2 ", "+1/2", "-1/2", "-0/3", "1/0",
     "1/00", "0.25", "1e-2", "1_0/3", "½", "١/٢", "1//2", "", "9" * 5000 + "/3",
     "1 /2", "1/ 2",  # int() reads "1 " and " 2"; Fraction refuses both
+    "1e4300", "1e5000", "-1e-5000", "1e100000000", "1E+1_0000_0000",
 ]
+# Fraction would build 10^e for these; parse_rational refuses them first
+PAST_MAX_EXPONENT = {"1e5000", "-1e-5000", "1e100000000", "1E+1_0000_0000"}
+DIGIT_STRING = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 @pytest.mark.parametrize("text", TRICKY_RATIONALS)
 def test_ratio_fast_path_agrees_with_parse_rational(text):
+    """The row loop reads a prob as Fraction(str(prob)) does, and refuses what it
+    refuses or what has an exponent past MAX_EXPONENT; the text pass, which reads
+    plain digit strings, gives the same model or error."""
     try:
-        value = Fraction(str(text))
+        value = None if text in PAST_MAX_EXPONENT else Fraction(str(text))
     except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None:
         with pytest.raises(WorldError) as slow:
             parse_rational(text)
         data = one_symbol_world(text, "1")
@@ -393,18 +484,41 @@ def test_ratio_fast_path_agrees_with_parse_rational(text):
     rest = str(1 - value) if 0 <= value <= 1 else "0"
     data = one_symbol_world(text, rest)
     assert loaded(data) == loaded_text(json.dumps(data))
+    if DIGIT_STRING.fullmatch(text) and len(text) < 4300:
+        assert by_text_pass(json.dumps(data)) == loaded(data)
     if 0 <= value <= 1:
         expected = WorldModel(SymbolTable(["a"]), [value, 1 - value])
         assert loaded(data) == (expected.den, expected.weights)
 
 
-@given(st.integers(0, 10**30), st.integers(1, 10**30))
-def test_ratio_of_digit_strings_is_in_lowest_terms(p, q):
+@given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(1, 10**6))
+def test_ratio_of_digit_strings_is_in_lowest_terms(p, q, k):
+    """Probs k·p/k·q, not in lowest terms, load as p/q through the row loop and the
+    text pass alike: the model's constructor divides out the common factor."""
     low, high = sorted((p, q))
     value = Fraction(low, high)
-    data = one_symbol_world(f"{low}/{high}", f"{high - low}/{high}")
+    data = one_symbol_world(f"{k * low}/{k * high}", f"{k * (high - low)}/{k * high}")
     expected = WorldModel(SymbolTable(["a"]), [value, 1 - value])
     assert loaded(data) == by_text_pass(json.dumps(data)) == (expected.den, expected.weights)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-1e4300"])
+def test_errors_name_results_too_long_to_print(text):
+    """A sum or a negative prob of more digits than str() prints is still reported."""
+    with pytest.raises(WorldError, match=r"(sum to|negative probability) a ratio of \d+-bit"):
+        world_from_dict(one_symbol_world(text, "0"))
+
+
+@pytest.mark.parametrize("value", ["1e100000000", "-1e-5000", "1E+4301", "1e0004301"])
+def test_exponent_past_the_limit_is_refused_before_it_is_built(value):
+    with pytest.raises(ValueError, match=f"is above {MAX_EXPONENT}"):
+        exact(value)
+    with pytest.raises(WorldError, match=f"is above {MAX_EXPONENT}"):
+        parse_rational(value)
+    with pytest.raises(ValueError, match=f"is above {MAX_EXPONENT}"):
+        make_world(SymbolTable(["a"]), [value, 0])
+    assert exact("1e4300") == parse_rational("1e4300") == 10**MAX_EXPONENT
+    assert exact("1e-4300") == Fraction(1, 10**MAX_EXPONENT)
 
 
 @given(
