@@ -197,6 +197,8 @@ class FormulaPool:
 
 def enumerate_pool(table, max_depth):
     """All formulas over not/and/or up to the depth bound, one per truth table."""
+    if max_depth < 0:
+        raise AuditError(f"max_depth {max_depth} is negative")
     if max_depth > MAX_POOL_DEPTH:
         raise AuditError(f"max_depth {max_depth} exceeds cap {MAX_POOL_DEPTH}")
     if len(table) > MAX_POOL_SYMBOLS:
@@ -293,6 +295,8 @@ def case_count(property_name, pool_size, premise_size_cap=1):
 def _budgeted_cases(property_name, pool, premise_size_cap):
     if property_name not in PROPERTY_TABLE:
         raise AuditError(f"unknown property {property_name!r}")
+    if premise_size_cap < 0:
+        raise AuditError(f"premise cap {premise_size_cap} is negative")
     cases = case_count(property_name, len(pool), premise_size_cap)
     if cases > MAX_CASES:
         raise AuditError(
@@ -315,7 +319,7 @@ def check_property(oracle, property_name, pool, premise_size_cap=1):
     rule = PROPERTY_TABLE[property_name]
     masks = pool.masks()
     deltas = [((), pool.table.full_mask)]
-    for size in range(1, premise_size_cap + 1):
+    for size in range(1, min(premise_size_cap, len(pool)) + 1):
         for combo in combinations(range(len(pool)), size):
             deltas.append((combo, reduce(and_, [masks[j] for j in combo])))
 

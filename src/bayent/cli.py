@@ -89,9 +89,9 @@ def _parse_omega(text):
 
 def _parse_formulas(args, table):
     try:
-        delta = parse_premises(args.premise or [], table)
+        delta = parse_premises(getattr(args, "premise", []), table)
         text = getattr(args, "conclusion", None)
-        conclusion = parse_formula(text, table) if text else None
+        conclusion = None if text is None else parse_formula(text, table)
     except FormulaError as exc:
         raise InputError(str(exc)) from exc
     return delta, conclusion
@@ -185,10 +185,7 @@ def _cmd_simulate(args):
         )
     except temporal_mod.TemporalError as exc:
         raise InputError(f"bad scenario file {args.scenario}: {exc}") from exc
-    try:
-        conclusion = parse_formula(args.conclusion, model.table)
-    except FormulaError as exc:
-        raise InputError(str(exc)) from exc
+    _, conclusion = _parse_formulas(args, model.table)
     omega = _parse_omega(args.omega)
 
     beliefs = [model.initial_belief()]
@@ -289,10 +286,6 @@ def main(argv=None):
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        # hashing, comparing and rendering a formula recurse once per level
-        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

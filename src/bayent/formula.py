@@ -248,44 +248,27 @@ _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 _RIGHT_ASSOC = (Implies, Iff)
 
 
-def atoms(f):
-    """Set of atom names occurring in f."""
-    found = set()
+def _postorder(f):
+    """The nodes of f, each after its operands, left operand first.
+
+    An explicit-stack walk, so any depth is taken: the pre-order that
+    visits right operands first, reversed.
+    """
+    order = []
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            found.add(node.name)
-        elif isinstance(node, Not):
+        order.append(node)
+        if node.__class__ is Not:
             stack.append(node.arg)
         elif node.__class__ in _TOKEN_OF:
             stack += node.left, node.right
-    return found
+    return reversed(order)
 
 
-def evaluate(f, v):
-    """Truth value of f under valuation v, in {0, 1}.
-
-    Implication and biconditional reduce to their definitions over
-    negation, conjunction and disjunction.
-    """
-    if isinstance(f, Atom):
-        return v.value(f.name)
-    if isinstance(f, Top):
-        return 1
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Not):
-        return 1 - evaluate(f.arg, v)
-    if isinstance(f, And):
-        return evaluate(f.left, v) & evaluate(f.right, v)
-    if isinstance(f, Or):
-        return evaluate(f.left, v) | evaluate(f.right, v)
-    if isinstance(f, Implies):
-        return (1 - evaluate(f.left, v)) | evaluate(f.right, v)
-    if isinstance(f, Iff):
-        return 1 - (evaluate(f.left, v) ^ evaluate(f.right, v))
-    raise TypeError(f"not a formula: {f!r}")
+def atoms(f):
+    """Set of atom names occurring in f."""
+    return {node.name for node in _postorder(f) if node.__class__ is Atom}
 
 
 @lru_cache(maxsize=None)
@@ -302,32 +285,18 @@ def _atom_mask(n, bit):
     return mask
 
 
-def truth_mask(f, table):
-    """Bitmask of satisfying valuation indices: bit i set iff f holds at index i.
+def _fold(f, atom_value, full):
+    """f's value from atom_value(name) at each atom: ~x is full ^ x, true is full.
 
-    An explicit-stack post-order walk, so any depth compiles. Only atom
-    masks are cached; a composite costs one big-int operation per node
-    (two for -> and <->).
+    Over _postorder(f), so any depth is taken; a binary node pops its
+    right operand first.
     """
-    full = table.full_mask
-    n = len(table)
-    order = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if node.__class__ is Not:
-            stack.append(node.arg)
-        elif node.__class__ in _TOKEN_OF:
-            stack += node.left, node.right
-    # reversed pre-order (right child first) is post-order: left, right,
-    # node; a binary node pops its right operand first
-    masks = []
-    push, pop = masks.append, masks.pop
-    for node in reversed(order):
+    values = []
+    push, pop = values.append, values.pop
+    for node in _postorder(f):
         cls = node.__class__
         if cls is Atom:
-            push(_atom_mask(n, n - 1 - table.position(node.name)))
+            push(atom_value(node.name))
         elif cls is And:
             push(pop() & pop())
         elif cls is Or:
@@ -344,43 +313,67 @@ def truth_mask(f, table):
             push(0)
         else:
             raise TypeError(f"not a formula: {node!r}")
-    return masks[0]
+    return values[0]
+
+
+def evaluate(f, v):
+    """Truth value of f under valuation v, in {0, 1}: f folded over one-bit values."""
+    return _fold(f, v.value, 1)
+
+
+def truth_mask(f, table):
+    """Bitmask of satisfying valuation indices: bit i set iff f holds at index i.
+
+    _fold over masks, so any depth compiles. Only atom masks are cached;
+    a composite costs one big-int operation per node (two for -> and <->).
+    """
+    n = len(table)
+    return _fold(f, lambda name: _atom_mask(n, n - 1 - table.position(name)), table.full_mask)
 
 
 # --- Rendering ---------------------------------------------------------
 
 
-def _prec(f):
-    return _PREC.get(type(f), 6)
+def _bracketed(rope, operand, floor):
+    """rope, the rendering of operand, in parentheses if operand binds below floor."""
+    return rope if _PREC.get(operand.__class__, 6) >= floor else ("(", rope, ")")
 
 
 def render(f):
-    """Concrete syntax for f with minimal parentheses; parse(render(f)) == f."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Not):
-        inner = render(f.arg)
-        if _prec(f.arg) < _PREC[Not]:
-            inner = f"({inner})"
-        return f"~{inner}"
-    p = _PREC[type(f)]
-    op = _TOKEN_OF[type(f)]
-    left, right = render(f.left), render(f.right)
-    if isinstance(f, _RIGHT_ASSOC):
-        if _prec(f.left) <= p:
-            left = f"({left})"
-        if _prec(f.right) < p:
-            right = f"({right})"
-    else:
-        if _prec(f.left) < p:
-            left = f"({left})"
-        if _prec(f.right) <= p:
-            right = f"({right})"
-    return f"{left} {op} {right}"
+    """Concrete syntax for f with minimal parentheses; parse(render(f)) == f.
+
+    Walks _postorder(f), keeping each operand's text as a rope of nested
+    tuples, joined once at the end: a deep chain is not copied per level.
+    """
+    ropes = []
+    push, pop = ropes.append, ropes.pop
+    for node in _postorder(f):
+        cls = node.__class__
+        if cls is Atom:
+            push(node.name)
+        elif cls is Top:
+            push("true")
+        elif cls is Bottom:
+            push("false")
+        elif cls is Not:
+            push(("~", _bracketed(pop(), node.arg, _PREC[Not])))
+        elif cls in _TOKEN_OF:
+            # an operand of the same precedence is bracketed on the side the
+            # operator does not group to: the left for -> and <->, else the right
+            p, right_assoc = _PREC[cls], cls in _RIGHT_ASSOC
+            right = _bracketed(pop(), node.right, p + (not right_assoc))
+            left = _bracketed(pop(), node.left, p + right_assoc)
+            push((left, f" {_TOKEN_OF[cls]} ", right))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    pieces = []
+    while ropes:
+        rope = pop()
+        if rope.__class__ is str:
+            pieces.append(rope)
+        else:
+            ropes += reversed(rope)
+    return "".join(pieces)
 
 
 # --- Parsing -----------------------------------------------------------

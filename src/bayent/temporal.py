@@ -64,15 +64,18 @@ def sticky_transition(size, epsilon):
 class TemporalModel:
     """Prior over valuations plus a transition matrix between them.
 
-    Row r of the transition matrix is the distribution of the next
-    state given the current state has valuation index r; columns[c]
-    holds column c as integers over one common denominator.
+    The prior is a WorldModel over table, or its probabilities. Row r of
+    the transition matrix is the distribution of the next state given the
+    current state has valuation index r; columns[c] holds column c as
+    integers over one common denominator.
     """
 
     def __init__(self, table, prior, transition):
         _check_temporal_size(table)
+        if isinstance(prior, WorldModel) and prior.table != table:
+            raise TemporalError(f"prior is over {prior.table!r}, not {table!r}")
         try:
-            self._prior = WorldModel(table, prior)
+            self._prior = prior if isinstance(prior, WorldModel) else WorldModel(table, prior)
         except WorldError as exc:
             raise TemporalError(f"bad prior: {exc}") from exc
         size = table.num_valuations
@@ -216,7 +219,7 @@ def scenario_from_dict(data):
     else:
         raise TemporalError(f"unknown transition kind {kind!r}")
 
-    model = TemporalModel(table, prior.probs, transition)
+    model = TemporalModel(table, prior, transition)
     try:
         rows = _list_of_lists(observation_rows, "observations")
         observations = [parse_premises(row, table) for row in rows]

@@ -44,6 +44,7 @@ _PROB = re.compile(r'"prob": "([0-9]+(?:/[0-9]+)?)"\}')
 # 10^e has e + 1 digits; int() refuses to read more than 4300 of them from a string
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
+_SHOWN_BITS = 332  # 2^332 < 10^100: _shown prints a term of up to 100 digits in full
 
 
 class WorldError(Exception):
@@ -64,12 +65,11 @@ def exact(value):
 
 
 def _shown(x):
-    """str(x), or its size when it has more digits than str() may print."""
-    try:
+    """str(x), or its size when a term is too long to read in a one-line message."""
+    num, den = x.numerator.bit_length(), x.denominator.bit_length()
+    if max(num, den) <= _SHOWN_BITS:
         return str(x)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        num, den = x.numerator.bit_length(), x.denominator.bit_length()
-        return f"a ratio of {num}-bit and {den}-bit ints"
+    return f"a ratio of {num}-bit and {den}-bit ints"
 
 
 def premises(*formulas):
@@ -292,7 +292,9 @@ def parse_rational(text):
     try:
         return exact(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise WorldError(f"cannot parse {text!r} as an exact rational: {exc}") from exc
+        # str() refuses an int only past the digit limit, where repr() would too
+        shown = f"a {text.bit_length()}-bit int" if type(text) is int else repr(text)
+        raise WorldError(f"cannot parse {shown} as an exact rational: {exc}") from exc
 
 
 def _over_lcm(nums, dens):
@@ -412,5 +414,6 @@ def _text_model(text):
 
 
 def parse_premises(texts, table):
-    """Parse a list of formula strings into a premise set."""
-    return frozenset(parse_formula(t, table) for t in texts)
+    """Parse formula strings into a premise tuple, in order: a frozenset would
+    hash each formula, and a node's hash recurses once per level."""
+    return tuple(parse_formula(t, table) for t in texts)

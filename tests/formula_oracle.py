@@ -1,14 +1,17 @@
-"""Test-only oracle: the recursive-descent parser and recursive mask compiler.
+"""Test-only oracle: the recursive parser, mask compiler, evaluator and renderer.
 
-These are the formula front end's earlier implementations, kept verbatim
-so that property tests can check the explicit-stack versions in
+These are the formula layer's earlier implementations, kept verbatim so
+that property tests can check the explicit-stack versions in
 bayent.formula against them: same AST, or the same error class, message
-and position, and the same truth mask.
+and position, and the same truth mask, truth value and text.
 """
 
 import re
 
 from bayent.formula import (
+    _PREC,
+    _RIGHT_ASSOC,
+    _TOKEN_OF,
     ATOM_RE,
     And,
     Atom,
@@ -45,6 +48,64 @@ def old_truth_mask(f, table):
     if isinstance(f, Iff):
         return full ^ old_truth_mask(f.left, table) ^ old_truth_mask(f.right, table)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def old_evaluate(f, v):
+    """Truth value of f under valuation v, in {0, 1}.
+
+    Implication and biconditional reduce to their definitions over
+    negation, conjunction and disjunction.
+    """
+    if isinstance(f, Atom):
+        return v.value(f.name)
+    if isinstance(f, Top):
+        return 1
+    if isinstance(f, Bottom):
+        return 0
+    if isinstance(f, Not):
+        return 1 - old_evaluate(f.arg, v)
+    if isinstance(f, And):
+        return old_evaluate(f.left, v) & old_evaluate(f.right, v)
+    if isinstance(f, Or):
+        return old_evaluate(f.left, v) | old_evaluate(f.right, v)
+    if isinstance(f, Implies):
+        return (1 - old_evaluate(f.left, v)) | old_evaluate(f.right, v)
+    if isinstance(f, Iff):
+        return 1 - (old_evaluate(f.left, v) ^ old_evaluate(f.right, v))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _prec(f):
+    return _PREC.get(type(f), 6)
+
+
+def old_render(f):
+    """Concrete syntax for f with minimal parentheses; parse(render(f)) == f."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Not):
+        inner = old_render(f.arg)
+        if _prec(f.arg) < _PREC[Not]:
+            inner = f"({inner})"
+        return f"~{inner}"
+    p = _PREC[type(f)]
+    op = _TOKEN_OF[type(f)]
+    left, right = old_render(f.left), old_render(f.right)
+    if isinstance(f, _RIGHT_ASSOC):
+        if _prec(f.left) <= p:
+            left = f"({left})"
+        if _prec(f.right) < p:
+            right = f"({right})"
+    else:
+        if _prec(f.left) < p:
+            left = f"({left})"
+        if _prec(f.right) <= p:
+            right = f"({right})"
+    return f"{left} {op} {right}"
 
 
 _TOKEN_RE = re.compile(

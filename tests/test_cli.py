@@ -156,26 +156,22 @@ class TestProb:
         assert "bad world row" in line
 
     @pytest.mark.parametrize(
-        "text, too_deep",
+        "text",
         [
-            # parsing does not recurse, but hashing the premise set does
-            ("a" + " & a" * 2999, True),
-            ("~" * 3000 + "a", True),
+            # no walk recurses and the premises are never hashed
+            "a" + " & a" * 2999,
+            "~" * 3000 + "a",
             # the parentheses leave a single atom behind
-            ("(" * 1500 + "a" + ")" * 1500, False),
+            "(" * 1500 + "a" + ")" * 1500,
         ],
         ids=["and-chain", "negations", "parentheses"],
     )
-    def test_deep_formula(self, capsys, world_file, text, too_deep):
+    def test_deep_formula(self, capsys, world_file, text):
         argv = ["prob", "--world", world_file, "--premise"]
-        if too_deep:
-            line = run_input_error(capsys, *argv, text)
-            assert line == "error: formula nested too deeply"
-        else:
-            assert main([*argv, text]) == EXIT_YES
-            deep = capsys.readouterr()
-            assert main([*argv, "a"]) == EXIT_YES
-            assert deep == capsys.readouterr()
+        assert main([*argv, text]) == EXIT_YES
+        deep = capsys.readouterr()
+        assert main([*argv, "a"]) == EXIT_YES
+        assert deep == capsys.readouterr()
 
     @pytest.mark.parametrize("n", [21, 40, 64])
     def test_too_many_symbols(self, capsys, tmp_path, n):
@@ -207,15 +203,20 @@ class TestProb:
         "prob, message",
         [
             ("1e5000", "cannot parse '1e5000' as an exact rational: exponent 5000 is above 4300"),
-            ("1e4300", "probabilities sum to a ratio of 14285-bit and 1-bit ints, off by -999"),
+            (
+                "1e4300",
+                "probabilities sum to a ratio of 14285-bit and 1-bit ints,"
+                " off by a ratio of 14285-bit and 1-bit ints",
+            ),
         ],
         ids=["exponent past the limit", "sum too long to print"],
     )
     def test_prob_past_the_digit_limit(self, capsys, tmp_path, prob, message):
+        # 1 - 10^4300 has 4,300 digits, which str() would print in full
         rows = [{"assignment": {"a": 0}, "prob": prob}, {"assignment": {"a": 1}, "prob": "0"}]
         path = write_json(tmp_path, "big.json", {"symbols": ["a"], "worlds": rows})
         line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
-        assert line.startswith(f"error: bad world file {path}: {message}")
+        assert line == f"error: bad world file {path}: {message}"
 
     def test_result_too_long_to_print(self, capsys, tmp_path):
         # every prob has under 2,600 digits, but p(~b) = 1/d1 + 1/d2 has about 4,450
@@ -233,6 +234,24 @@ class TestProb:
         line = run_input_error(capsys, "prob", "--world", path, "--premise", "~b")
         limit = sys.get_int_max_str_digits()
         assert line == f"error: an exact result has more than {limit} digits to print"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "--world", "world.json", "--conclusion", ""],
+        ["entail", "--world", "world.json", "--conclusion", "", "--omega", "1/2"],
+        ["map-entail", "--world", "world.json", "--conclusion", ""],
+        ["pref-entail", "--structure", "structure.json", "--symbols", "a,b,c", "--conclusion", ""],
+        ["simulate", "--scenario", "scenario.json", "--conclusion", "", "--omega", "1/2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_conclusion(capsys, monkeypatch, argv):
+    # an empty --conclusion once read as none: a traceback for the verdict verbs
+    # and p(premises) for prob
+    monkeypatch.chdir(Path(__file__).parent / "data" / "cli_golden")
+    assert run_input_error(capsys, *argv) == "error: empty formula (at position 0)"
 
 
 class TestEntail:
@@ -501,6 +520,28 @@ class TestAudit:
             "error: cut over 90 formulas at premise cap 1000000000 is "
             f"{2**90 * 90**2:,} cases, over the budget of 100,000,000"
         )
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--max-depth", "max_depth -1 is negative"), ("--premise-cap", "premise cap -1 is negative")],
+    )
+    def test_negative_bound_refused(self, capsys, world_file, flag, message):
+        # both once ran as 0: a depth-0 pool, or no premise sets but the empty one
+        line = run_input_error(
+            capsys, "audit", "--world", world_file, "--omega", "1", "--property", "cut",
+            flag, "-1",
+        )
+        assert line == f"error: {message}"
+
+    def test_premise_cap_above_a_small_pool_stops_at_the_pool(self, capsys, world_file):
+        # the premise sets of this 4-formula pool end at size 4; looping over
+        # every size up to the cap took seconds here and minutes at 10^9
+        argv = ["audit", "--world", world_file, "--omega", "1", "--property", "reflexivity",
+                "--max-depth", "0", "--premise-cap"]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv, "10000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == run(capsys, *argv, "4")
 
     def test_unknown_property_message(self, capsys, world_file):
         line = run_input_error(

@@ -64,3 +64,44 @@ ON_WORLD_JSON = [(i, case) for i, case in enumerate(CASES) if "world.json" in ca
 def test_replay_on_dumped_world(case, capsys, monkeypatch):
     argv = ["world_dumped.json" if arg == "world.json" else arg for arg in case["argv"]]
     replay(argv, case, capsys, monkeypatch)
+
+
+# Every formula of a case, premise, conclusion or scenario observation,
+# rewritten 20,000 levels deep with the same models: a ~ chain, a left-deep
+# & chain, or a right-deep -> chain, taken in turn. No walk recurses and no
+# premise is hashed, so each must give the case's recorded output.
+DEPTH = 20_000
+DEEPEN = [
+    lambda text: "~~" * (DEPTH // 2) + f"({text})",
+    lambda text: " & ".join([f"({text})"] * DEPTH),
+    lambda text: "true -> " * DEPTH + f"({text})",
+]
+DEEPENED = [
+    (i, case) for i, case in enumerate(CASES)
+    if case["exit"] != 2 and case["argv"][0] != "audit"
+]
+
+
+def deepened_argv(argv, deepen, tmp_path):
+    out = []
+    for flag, arg in zip([None, *argv], argv):
+        if flag in ("--premise", "--conclusion"):
+            arg = deepen(arg)
+        elif flag == "--scenario":
+            scenario = json.loads((GOLDEN / arg).read_text(encoding="utf-8"))
+            scenario["observations"] = [
+                [deepen(text) for text in row] for row in scenario["observations"]
+            ]
+            arg = tmp_path / arg
+            arg.write_text(json.dumps(scenario), encoding="utf-8")
+        out.append(str(arg))
+    return out
+
+
+@pytest.mark.parametrize(
+    "i, case", DEEPENED, ids=[f"{i:02d}-{case['argv'][0]}" for i, case in DEEPENED]
+)
+def test_replay_with_deep_formulas(i, case, capsys, monkeypatch, tmp_path):
+    argv = deepened_argv(case["argv"], DEEPEN[i % len(DEEPEN)], tmp_path)
+    assert argv != case["argv"]
+    replay(argv, case, capsys, monkeypatch)

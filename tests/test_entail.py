@@ -10,18 +10,24 @@ from hypothesis import strategies as st
 from bayent import (
     EXISTENTIAL,
     UNIVERSAL,
+    PreferentialStructure,
     SymbolTable,
+    TemporalModel,
     Verdict,
     bayes_entails,
     bayes_oracle,
     classical_entails,
     evaluate,
+    filter_step,
     make_world,
     map_entails,
     map_oracle,
     map_set,
     monotony_counterexample_world,
+    parse_premises,
     random_world,
+    render,
+    sticky_transition,
     uniform_world,
 )
 
@@ -30,6 +36,7 @@ from bayent.formula import And, Atom, Bottom, Not, Or, Top, Valuation
 from bayent.worlds import premise_mask
 
 from test_formula import formulas, _TABLE
+from test_preferential import orders
 from test_worlds import integer_worlds, masks_of
 
 
@@ -373,3 +380,29 @@ def test_verdict_witnesses_equal_brute_force(model, data):
         expected = won == winners if mode == UNIVERSAL else bool(won)
         assert verdict.holds == expected
         check_witnesses(verdict, winners, table)
+
+
+@given(
+    st.lists(formulas(), max_size=4), formulas(), seeds, zero_fractions, orders(), st.data()
+)
+def test_premise_tuple_gives_the_premise_set_verdicts(premises, alpha, seed, zf, order, data):
+    """parse_premises keeps every formula, in order, in a tuple; each engine gives
+    the same answer on it as on the frozenset of the same formulas."""
+    delta = parse_premises([render(g) for g in premises], _TABLE)
+    assert delta == tuple(premises)
+    as_set = frozenset(delta)
+    model = random_world(_TABLE, seed, zf)
+    omega = data.draw(st.sampled_from([0, Fraction(1, 2), Fraction(4, 5), 1]))
+    assert model.prob(delta) == model.prob(as_set)
+    assert model.conditional(alpha, delta) == model.conditional(alpha, as_set)
+    assert model.posterior(delta) == model.posterior(as_set)
+    assert classical_entails(_TABLE, delta, alpha) == classical_entails(_TABLE, as_set, alpha)
+    assert bayes_entails(model, delta, alpha, omega) == bayes_entails(model, as_set, alpha, omega)
+    for mode in (UNIVERSAL, EXISTENTIAL):
+        assert map_entails(model, delta, alpha, mode) == map_entails(model, as_set, alpha, mode)
+    structure = PreferentialStructure(_TABLE, *order)
+    assert structure.pref_entails(delta, alpha) == structure.pref_entails(as_set, alpha)
+    assert structure.maximal_models(delta) == structure.maximal_models(as_set)
+    temporal = TemporalModel(_TABLE, model, sticky_transition(8, Fraction(1, 10)))
+    belief = temporal.initial_belief()
+    assert filter_step(temporal, belief, delta) == filter_step(temporal, belief, as_set)

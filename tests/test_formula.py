@@ -1,13 +1,18 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bayent
 from bayent import (
     And,
     Atom,
@@ -28,7 +33,13 @@ from bayent import (
 )
 from bayent.formula import Formula, FormulaError, _atom_mask, truth_mask
 
-from formula_oracle import _tokenize, old_parse_formula, old_truth_mask
+from formula_oracle import (
+    _tokenize,
+    old_evaluate,
+    old_parse_formula,
+    old_render,
+    old_truth_mask,
+)
 
 
 def test_valuation_is_a_frozen_value():
@@ -284,9 +295,14 @@ def test_wide_table_builds_no_mask_until_read():
 
 
 def test_truth_mask_rejects_non_formulas():
+    # evaluate and render walk the same nodes and refuse them alike
     for bad in ("a", None, And(Atom("a"), "b")):
         with pytest.raises(TypeError, match="not a formula"):
             truth_mask(bad, _TABLE)
+        with pytest.raises(TypeError, match="not a formula"):
+            evaluate(bad, _TABLE.valuation(0))
+        with pytest.raises(TypeError, match="not a formula"):
+            render(bad)
 
 
 def test_one_atom_object_per_name_within_a_parse():
@@ -305,6 +321,48 @@ def test_deep_chain_compiles_without_recursion():
         f = Not(And(f, Atom("b")))
     # two levels take g to ~(~(g & b) & b), which is g | ~b
     assert truth_mask(f, table) == truth_mask(Or(Atom("a"), Not(Atom("b"))), table)
+
+
+# Under a recursion limit of 250, a walk that recursed would fail at any depth
+# past it; each chain must match its one-level equivalent.
+_DEEP_WALKS = """
+import sys
+from bayent.formula import SymbolTable, atoms, evaluate, parse_formula, render, truth_mask
+
+sys.setrecursionlimit(250)
+table = SymbolTable(["a", "b"])
+chains = [
+    ("~" * 100_000 + "a", "a"),
+    ("a" + " & b" * 100_000, "a & b"),
+    ("a -> " * 100_000 + "b", "a -> b"),
+]
+for text, shallow in chains:
+    deep, flat = parse_formula(text, table), parse_formula(shallow, table)
+    assert render(deep) == text
+    assert atoms(deep) == atoms(flat)
+    assert truth_mask(deep, table) == truth_mask(flat, table)
+    for v in table.valuations():
+        assert evaluate(deep, v) == evaluate(flat, v)
+"""
+
+
+def test_every_walk_takes_100000_levels_under_a_low_recursion_limit():
+    src = str(Path(bayent.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_WALKS],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@settings(max_examples=300)
+@given(formulas(depth=12), valuations)
+def test_walks_match_the_recursive_render_and_evaluate(f, v):
+    assert render(f) == old_render(f)
+    assert evaluate(f, v) == old_evaluate(f, v)
 
 
 # --- the explicit-stack front end against the recursive one ------------

@@ -9,6 +9,7 @@ from bayent import (
     SymbolTable,
     TemporalError,
     TemporalModel,
+    WorldModel,
     bayes_entails,
     evaluate,
     filter_step,
@@ -95,6 +96,15 @@ class TestModelValidation:
         assert model.prior_world() is model.prior_world()
         assert model.prior_world() == table1_world
         assert model.prior == table1_world.probs
+
+    def test_prior_may_be_the_world_model_itself(self, table1_world):
+        model = TemporalModel(table1_world.table, table1_world, identity_transition(4))
+        assert model.prior_world() is table1_world
+        assert model.prior == table1_world.probs
+
+    def test_prior_model_over_another_table_refused(self, a_table, table1_world):
+        with pytest.raises(TemporalError, match="^prior is over SymbolTable"):
+            TemporalModel(a_table, table1_world, identity_transition(2))
 
     def test_row_sum_reported_exactly(self, a_table):
         rows = [[1, 0], [Fraction(1, 3), Fraction(1, 2**20)]]
@@ -316,6 +326,20 @@ class TestScenario:
             model, obs, parse_formula("~a", model.table), Fraction(3, 5)
         )
         assert v.probability == Fraction(5, 8)
+
+    def test_prior_model_is_built_once(self, monkeypatch, table1_world):
+        built = []
+        from_weights = WorldModel.from_weights.__func__
+
+        def counting(cls, *args):
+            built.append(args)
+            return from_weights(cls, *args)
+
+        monkeypatch.setattr(WorldModel, "from_weights", classmethod(counting))
+        body = world_to_dict(table1_world)
+        model, _ = scenario_from_dict(self.scenario(body, {"kind": "identity"}, []))
+        assert len(built) == 1
+        assert model.prior_world() == table1_world
 
     def test_matrix_and_sticky_kinds(self, table1_world):
         body = world_to_dict(table1_world)

@@ -502,11 +502,19 @@ def test_ratio_of_digit_strings_is_in_lowest_terms(p, q, k):
     assert loaded(data) == by_text_pass(json.dumps(data)) == (expected.den, expected.weights)
 
 
-@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-1e4300"])
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-1e4300", "1e101", "-1e-101"])
 def test_errors_name_results_too_long_to_print(text):
-    """A sum or a negative prob of more digits than str() prints is still reported."""
+    """A sum or a negative prob of more than 100 digits is reported by its size."""
     with pytest.raises(WorldError, match=r"(sum to|negative probability) a ratio of \d+-bit"):
         world_from_dict(one_symbol_world(text, "0"))
+
+
+@pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["10^5000", "-10^5000"])
+def test_int_past_the_digit_limit_is_named_by_its_size(value):
+    # str() of the int raises, and so would the repr() in the error message
+    message = "^cannot parse a 16610-bit int as an exact rational: Exceeds the limit"
+    with pytest.raises(WorldError, match=message):
+        parse_rational(value)
 
 
 @pytest.mark.parametrize("value", ["1e100000000", "-1e-5000", "1E+4301", "1e0004301"])
