@@ -62,7 +62,7 @@ class ConsequenceOracle:
     monotonic relation used inside the Classical properties and
     Supraclassicality. mask_query/mask_base are the same relations over
     satisfying-set bitmasks; trace returns the probabilities behind one
-    query for counterexample reports.
+    query for counterexample reports. A pool must be over table, if given.
     """
 
     label: str
@@ -71,6 +71,7 @@ class ConsequenceOracle:
     mask_query: Callable
     mask_base: Callable
     trace: Optional[Callable] = None
+    table: Optional[SymbolTable] = None
 
 
 def classical_base(table):
@@ -122,7 +123,9 @@ def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
         }
 
     base_fn, base_mask = _pick_base(base, model)
-    return ConsequenceOracle(f"threshold-{w}", query, base_fn, mask_query, base_mask, trace)
+    return ConsequenceOracle(
+        f"threshold-{w}", query, base_fn, mask_query, base_mask, trace, model.table
+    )
 
 
 def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
@@ -140,7 +143,9 @@ def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
         return hit == winners if mode == UNIVERSAL else hit != 0
 
     base_fn, base_mask = _pick_base(base, model)
-    return ConsequenceOracle(f"map-{mode}", query, base_fn, mask_query, base_mask)
+    return ConsequenceOracle(
+        f"map-{mode}", query, base_fn, mask_query, base_mask, table=model.table
+    )
 
 
 def pref_oracle(structure):
@@ -154,13 +159,15 @@ def pref_oracle(structure):
         return not maximal(dmask) & ~amask
 
     base_fn, base_mask = classical_base(structure.table)
-    return ConsequenceOracle("preferential", query, base_fn, mask_query, base_mask)
+    return ConsequenceOracle(
+        "preferential", query, base_fn, mask_query, base_mask, table=structure.table
+    )
 
 
 def classical_oracle(table):
     """The propositional entailment itself, as an oracle."""
     base_fn, base_mask = classical_base(table)
-    return ConsequenceOracle("classical", base_fn, base_fn, base_mask, base_mask)
+    return ConsequenceOracle("classical", base_fn, base_fn, base_mask, base_mask, table=table)
 
 
 def _pick_base(base, model):
@@ -187,9 +194,6 @@ class FormulaPool:
     max_depth: int
     formulas: tuple
     truth_masks: tuple  # truth_mask(f, table) of each formula, in order
-
-    def masks(self):
-        return self.truth_masks
 
     def __len__(self):
         return len(self.formulas)
@@ -292,7 +296,9 @@ def case_count(property_name, pool_size, premise_size_cap=1):
     return premise_sets * pool_size ** len(PROPERTY_TABLE[property_name][0])
 
 
-def _budgeted_cases(property_name, pool, premise_size_cap):
+def _budgeted_cases(oracle, property_name, pool, premise_size_cap):
+    if oracle.table not in (None, pool.table):
+        raise AuditError(f"pool is over {pool.table!r}, the oracle over {oracle.table!r}")
     if property_name not in PROPERTY_TABLE:
         raise AuditError(f"unknown property {property_name!r}")
     if premise_size_cap < 0:
@@ -315,9 +321,9 @@ def check_property(oracle, property_name, pool, premise_size_cap=1):
     tuple of lowest rank in the property's enumeration order, and
     cases_checked counts every tuple up to it.
     """
-    cases = _budgeted_cases(property_name, pool, premise_size_cap)
+    cases = _budgeted_cases(oracle, property_name, pool, premise_size_cap)
     rule = PROPERTY_TABLE[property_name]
-    masks = pool.masks()
+    masks = pool.truth_masks
     deltas = [((), pool.table.full_mask)]
     for size in range(1, min(premise_size_cap, len(pool)) + 1):
         for combo in combinations(range(len(pool)), size):
@@ -506,7 +512,7 @@ OMEGA_GRID = (
 def theorem_suite(oracle, pool, premise_size_cap=1, properties=PROPERTIES):
     """Run a batch of property checks against one oracle, each within budget."""
     for name in properties:
-        _budgeted_cases(name, pool, premise_size_cap)
+        _budgeted_cases(oracle, name, pool, premise_size_cap)
     return [
         check_property(oracle, name, pool, premise_size_cap) for name in properties
     ]

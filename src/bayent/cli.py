@@ -42,8 +42,8 @@ class InputError(Exception):
     """User-facing input problem; reported on stderr with exit code 2."""
 
 
-def _read(path, parse):
-    """parse(fh) on the file at path; read and JSON errors become InputError."""
+def _read(path, parse, kind, error):
+    """parse(fh) on the file at path; read, JSON and `error` errors become InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
@@ -51,6 +51,8 @@ def _read(path, parse):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
+    except error as exc:
+        raise InputError(f"bad {kind} file {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON syntax, or an int past the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
@@ -58,17 +60,13 @@ def _read(path, parse):
 
 
 def _load_world(path):
-    try:
-        return _read(path, lambda fh: world_from_text(fh.read()))
-    except WorldError as exc:
-        raise InputError(f"bad world file {path}: {exc}") from exc
+    return _read(path, lambda fh: world_from_text(fh.read()), "world", WorldError)
 
 
 def _load_structure(path, table):
-    try:
-        return structure_from_dict(_read(path, json.load), table)
-    except StructureError as exc:
-        raise InputError(f"bad structure file {path}: {exc}") from exc
+    return _read(
+        path, lambda fh: structure_from_dict(json.load(fh), table), "structure", StructureError
+    )
 
 
 def _parse_symbols(text):
@@ -112,24 +110,21 @@ def _cmd_prob(args):
     model = _load_world(args.world)
     delta, conclusion = _parse_formulas(args, model.table)
     p = model.prob(delta) if conclusion is None else model.conditional(conclusion, delta)
-    _emit(lambda: {"probability": None if p is None else str(p)}, args.pretty)
-    return EXIT_YES
+    return lambda: {"probability": None if p is None else str(p)}, True
 
 
 def _cmd_entail(args):
     model = _load_world(args.world)
     delta, conclusion = _parse_formulas(args, model.table)
     verdict = bayes_entails(model, delta, conclusion, _parse_omega(args.omega))
-    _emit(verdict.to_dict, args.pretty)
-    return EXIT_YES if verdict.holds else EXIT_NO
+    return verdict.to_dict, verdict.holds
 
 
 def _cmd_map_entail(args):
     model = _load_world(args.world)
     delta, conclusion = _parse_formulas(args, model.table)
     verdict = map_entails(model, delta, conclusion, args.mode)
-    _emit(verdict.to_dict, args.pretty)
-    return EXIT_YES if verdict.holds else EXIT_NO
+    return verdict.to_dict, verdict.holds
 
 
 def _cmd_pref_entail(args):
@@ -138,53 +133,42 @@ def _cmd_pref_entail(args):
     delta, conclusion = _parse_formulas(args, table)
     holds = structure.pref_entails(delta, conclusion)
     maximal = structure.maximal_mask(premise_mask(delta, table))
-    payload = {"holds": holds, "maximal_models": valuation_rows(table, maximal)}
-    _emit(lambda: payload, args.pretty)
-    return EXIT_YES if holds else EXIT_NO
+    return lambda: {"holds": holds, "maximal_models": valuation_rows(table, maximal)}, holds
 
 
 def _build_audit_oracle(args):
-    base = args.base
     if args.structure:
         table = _parse_symbols(args.symbols or "a,b")
-        return audit_mod.pref_oracle(_load_structure(args.structure, table)), table
+        return audit_mod.pref_oracle(_load_structure(args.structure, table))
     if not args.world:
         raise InputError("audit needs either --world or --structure")
     model = _load_world(args.world)
     if args.map:
-        return audit_mod.map_oracle(model, args.mode, base=base), model.table
+        return audit_mod.map_oracle(model, args.mode, base=args.base)
     if args.omega is None:
         raise InputError("audit over a world needs --omega (or --map)")
-    return (
-        audit_mod.bayes_oracle(model, _parse_omega(args.omega), base=base),
-        model.table,
-    )
+    return audit_mod.bayes_oracle(model, _parse_omega(args.omega), base=args.base)
 
 
 def _cmd_audit(args):
-    oracle, table = _build_audit_oracle(args)
+    oracle = _build_audit_oracle(args)
+    names = audit_mod.PROPERTIES if args.property == "theorem-suite" else (args.property,)
     try:
-        pool = audit_mod.enumerate_pool(table, args.max_depth)
-        if args.property == "theorem-suite":
-            reports = audit_mod.theorem_suite(oracle, pool, args.premise_cap)
-        else:
-            reports = [
-                audit_mod.check_property(oracle, args.property, pool, args.premise_cap)
-            ]
+        pool = audit_mod.enumerate_pool(oracle.table, args.max_depth)
+        reports = audit_mod.theorem_suite(oracle, pool, args.premise_cap, names)
     except audit_mod.AuditError as exc:
         raise InputError(str(exc)) from exc
-    _emit(lambda: {"reports": [r.to_dict() for r in reports]}, args.pretty)
-    failed = any(r.verdict != "pass" for r in reports)
-    return EXIT_NO if failed else EXIT_YES
+    passed = all(r.verdict == "pass" for r in reports)
+    return lambda: {"reports": [r.to_dict() for r in reports]}, passed
 
 
 def _cmd_simulate(args):
-    try:
-        model, observations = temporal_mod.scenario_from_dict(
-            _read(args.scenario, json.load)
-        )
-    except temporal_mod.TemporalError as exc:
-        raise InputError(f"bad scenario file {args.scenario}: {exc}") from exc
+    model, observations = _read(
+        args.scenario,
+        lambda fh: temporal_mod.scenario_from_dict(json.load(fh)),
+        "scenario",
+        temporal_mod.TemporalError,
+    )
     _, conclusion = _parse_formulas(args, model.table)
     omega = _parse_omega(args.omega)
 
@@ -197,8 +181,7 @@ def _cmd_simulate(args):
         steps = [{"alive": b.alive, "weights": list(map(str, b.weights))} for b in beliefs[1:]]
         return {"steps": steps, "verdict": verdict.to_dict()}
 
-    _emit(payload, args.pretty)
-    return EXIT_YES if verdict.holds else EXIT_NO
+    return payload, verdict.holds
 
 
 def build_parser():
@@ -211,6 +194,10 @@ def build_parser():
     def common(p):
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
+    def formulas(p):
+        p.add_argument("--premise", action="append", default=[])
+        p.add_argument("--conclusion", required=True)
+
     p = sub.add_parser("prob", help="joint or conditional probability of formulas")
     p.add_argument("--world", required=True, help="world JSON file")
     p.add_argument("--premise", action="append", default=[], help="repeatable premise")
@@ -220,16 +207,14 @@ def build_parser():
 
     p = sub.add_parser("entail", help="threshold entailment verdict")
     p.add_argument("--world", required=True)
-    p.add_argument("--premise", action="append", default=[])
-    p.add_argument("--conclusion", required=True)
+    formulas(p)
     p.add_argument("--omega", required=True, help="threshold, e.g. 0.8 or 4/5")
     common(p)
     p.set_defaults(fn=_cmd_entail)
 
     p = sub.add_parser("map-entail", help="maximum-a-posteriori entailment verdict")
     p.add_argument("--world", required=True)
-    p.add_argument("--premise", action="append", default=[])
-    p.add_argument("--conclusion", required=True)
+    formulas(p)
     p.add_argument("--mode", choices=[UNIVERSAL, EXISTENTIAL], default=UNIVERSAL)
     common(p)
     p.set_defaults(fn=_cmd_map_entail)
@@ -237,8 +222,7 @@ def build_parser():
     p = sub.add_parser("pref-entail", help="preferential entailment verdict")
     p.add_argument("--structure", required=True, help="structure JSON file")
     p.add_argument("--symbols", required=True, help="comma-separated atoms, e.g. a,b")
-    p.add_argument("--premise", action="append", default=[])
-    p.add_argument("--conclusion", required=True)
+    formulas(p)
     common(p)
     p.set_defaults(fn=_cmd_pref_entail)
 
@@ -283,10 +267,12 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; keep that contract
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        build, holds = args.fn(args)
+        _emit(build, args.pretty)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_YES if holds else EXIT_NO
 
 
 if __name__ == "__main__":

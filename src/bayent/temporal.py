@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
-from .formula import FormulaError, truth_mask
+from .formula import FormulaError
 from .worlds import (
     WorldError,
     WorldModel,
@@ -28,7 +27,7 @@ from .worlds import (
     premise_mask,
     world_from_dict,
 )
-from .entail import Verdict, check_threshold
+from .entail import Verdict, bayes_entails, check_threshold
 
 
 # A dense transition has 4^n cells; refuse more than 2^20 of them.
@@ -155,15 +154,13 @@ def temporal_entails(model, observations, alpha, omega):
 
 
 def belief_verdict(model, belief, alpha, omega):
-    """Threshold verdict on alpha under a filtered belief; vacuous when it is dead."""
+    """bayes_entails on the belief as a world, without witnesses; vacuous when dead."""
     w = check_threshold(omega)
     if not belief.alive:
         return Verdict(holds=True, probability=None, vacuous=True)
-    total = sum(belief.counts)
-    hit = sum(compress(belief.counts, _selector(truth_mask(alpha, model.table))))
-    # p >= w = num/den, cross-multiplied over the integer counts
-    holds = hit * w.denominator >= w.numerator * total
-    return Verdict(holds=holds, probability=Fraction(hit, total), vacuous=False)
+    world = WorldModel.from_weights(model.table, belief.counts, sum(belief.counts))
+    verdict = bayes_entails(world, (), alpha, w)
+    return Verdict(holds=verdict.holds, probability=verdict.probability, vacuous=False)
 
 
 # --- Scenario JSON -----------------------------------------------------

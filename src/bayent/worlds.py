@@ -65,11 +65,11 @@ def exact(value):
 
 
 def _shown(x):
-    """str(x), or its size when a term is too long to read in a one-line message."""
+    """str(x), or its sign and size when a term is too long to read in a one-line message."""
     num, den = x.numerator.bit_length(), x.denominator.bit_length()
     if max(num, den) <= _SHOWN_BITS:
         return str(x)
-    return f"a ratio of {num}-bit and {den}-bit ints"
+    return f"a {'negative ' if x < 0 else ''}ratio of {num}-bit and {den}-bit ints"
 
 
 def premises(*formulas):
@@ -173,6 +173,7 @@ class WorldModel:
     """
 
     def __init__(self, table, probs):
+        """probs: an int, Fraction, Decimal or exact string such as '1/3' per valuation."""
         checked_size(table)  # before a Fraction per entry of a too-large table
         entries = [exact(p) for p in probs]
         nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
@@ -271,13 +272,7 @@ class WorldModel:
         return {self.table.valuation(i) for i in _indices(self.support_mask)}
 
 
-def make_world(table, probs):
-    """Validated WorldModel.
-
-    Probabilities may be ints, Fractions, Decimals or exact rational
-    strings such as '1/3' or '0.25'; floats raise TypeError.
-    """
-    return WorldModel(table, probs)
+make_world = WorldModel
 
 
 def uniform_world(table):
@@ -286,7 +281,8 @@ def uniform_world(table):
 
 
 def parse_rational(text):
-    """Exact rational from a 'p/q' or decimal string; a float raises WorldError."""
+    """Exact rational from a 'p/q' or decimal string; a float raises WorldError.
+    An error names a value whose repr() is over 100 characters by its length."""
     if isinstance(text, float):
         raise WorldError(f"cannot parse {text!r} as an exact rational: a float is not exact")
     try:
@@ -294,7 +290,10 @@ def parse_rational(text):
     except (ValueError, ZeroDivisionError) as exc:
         # str() refuses an int only past the digit limit, where repr() would too
         shown = f"a {text.bit_length()}-bit int" if type(text) is int else repr(text)
-        raise WorldError(f"cannot parse {shown} as an exact rational: {exc}") from exc
+        why = f": {exc}"
+        if len(shown) > 100:  # exc would quote it again, or count its digits
+            shown, why = f"a {len(str(text))}-character {type(text).__name__}", ""
+        raise WorldError(f"cannot parse {shown} as an exact rational{why}") from exc
 
 
 def _over_lcm(nums, dens):

@@ -23,7 +23,7 @@ def old_check_property(oracle, property_name, pool, premise_size_cap=1):
         raise AuditError(f"unknown property {property_name!r}")
 
     table = pool.table
-    items = list(zip(pool.formulas, pool.masks()))
+    items = list(zip(pool.formulas, pool.truth_masks))
     full = table.full_mask
 
     deltas = [((), full)]

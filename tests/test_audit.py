@@ -122,6 +122,10 @@ class TestRandomWorld:
         assert sorted(w.probs, reverse=True)[0] == 1
         assert len(w.support()) == 1
 
+    def test_zero_fraction_above_one_refused(self, ab):
+        with pytest.raises(ValueError, match=r"^zero_fraction must lie in \[0, 1\]$"):
+            random_world(ab, 7, 2)
+
 
 class TestCheckProperty:
     @pytest.fixture
@@ -231,6 +235,58 @@ class TestMargins:
 def test_oracle_needs_mask_level_queries():
     with pytest.raises(TypeError):
         ConsequenceOracle("bare", lambda d, a: True, lambda d, a: True)
+
+
+def test_unknown_base_refused(ab):
+    with pytest.raises(AuditError, match="^unknown monotonic base 'bogus'$"):
+        bayes_oracle(random_world(ab, 1), Fraction(3, 5), base="bogus")
+
+
+# --- Oracle and pool over one table --------------------------------------
+
+
+def test_builders_give_the_oracle_its_table():
+    world = random_world(ABC, 1)
+    structure = PreferentialStructure(ABC, range(8), [(0, 1)])
+    built = [
+        bayes_oracle(world, Fraction(3, 5)),
+        map_oracle(world),
+        pref_oracle(structure),
+        classical_oracle(ABC),
+    ]
+    assert [oracle.table for oracle in built] == [ABC] * 4
+
+
+def test_pool_over_a_smaller_table_refused():
+    # the pool's masks would be read as valuation indices of the 3-symbol world
+    oracle = bayes_oracle(random_world(ABC, 1), Fraction(3, 5))
+    message = r"^pool is over SymbolTable\(\['a', 'b'\]\), the oracle over SymbolTable\(\['a', "
+    with pytest.raises(AuditError, match=message):
+        check_property(oracle, "monotony", enumerate_pool(AB, 1))
+
+
+def test_pool_over_other_names_refused_before_any_query():
+    def never(*args):
+        raise AssertionError("queried")
+
+    xy = SymbolTable(["x", "y"])
+    pool = enumerate_pool(AB, 1)
+    for oracle in (
+        map_oracle(WorldModel(xy, [Fraction(1, 4)] * 4)),
+        ConsequenceOracle("xy", never, never, never, never, table=xy),
+    ):
+        with pytest.raises(AuditError, match="^pool is over"):
+            check_property(oracle, "cut", pool)
+        with pytest.raises(AuditError, match="^pool is over"):
+            theorem_suite(oracle, pool)
+
+
+def test_hand_built_oracle_without_a_table_still_runs():
+    base, mask_base = classical_base(AB)
+    oracle = ConsequenceOracle("classical", base, base, mask_base, mask_base)
+    assert oracle.table is None
+    report = check_property(oracle, "cut", enumerate_pool(AB, 1))
+    assert report.verdict == "pass"
 
 
 # --- Differential test against the earlier per-property loops ---------

@@ -206,7 +206,7 @@ class TestProb:
             (
                 "1e4300",
                 "probabilities sum to a ratio of 14285-bit and 1-bit ints,"
-                " off by a ratio of 14285-bit and 1-bit ints",
+                " off by a negative ratio of 14285-bit and 1-bit ints",
             ),
         ],
         ids=["exponent past the limit", "sum too long to print"],
@@ -217,6 +217,21 @@ class TestProb:
         path = write_json(tmp_path, "big.json", {"symbols": ["a"], "worlds": rows})
         line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
         assert line == f"error: bad world file {path}: {message}"
+
+    @pytest.mark.parametrize(
+        "prob, size",
+        [("9" * 5000 + "/3", 5002), ("x" * 5000, 5000)],
+        ids=["past the digit limit", "not a number"],
+    )
+    def test_long_prob_string_named_by_its_length(self, capsys, tmp_path, prob, size):
+        # quoted whole, and again by Fraction's message, these lines ran to 5,229 and
+        # 10,119 characters
+        rows = [{"assignment": {"a": 0}, "prob": prob}, {"assignment": {"a": 1}, "prob": "0"}]
+        path = write_json(tmp_path, "long.json", {"symbols": ["a"], "worlds": rows})
+        line = run_input_error(capsys, "prob", "--world", path, "--premise", "a")
+        message = f"cannot parse a {size}-character str as an exact rational"
+        assert line == f"error: bad world file {path}: {message}"
+        assert len(line) < 200
 
     def test_result_too_long_to_print(self, capsys, tmp_path):
         # every prob has under 2,600 digits, but p(~b) = 1/d1 + 1/d2 has about 4,450

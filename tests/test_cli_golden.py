@@ -8,6 +8,8 @@ world.json is written by hand (indented, rows shuffled, decimal and
 unreduced probs), so it is read by the row loop. world_dumped.json is the
 same world as json.dump(world_to_dict(model), fh) writes it, which the
 text pass reads; every world.json case is replayed on it as well.
+
+help.json holds the --help text of the program and of each verb.
 """
 
 import json
@@ -21,12 +23,23 @@ from bayent.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+HELP = json.loads((GOLDEN / "help.json").read_text(encoding="utf-8"))
 
 
 def test_transcript_covers_every_verb():
     verbs = {case["argv"][0] for case in CASES}
     assert verbs == {"prob", "entail", "map-entail", "pref-entail", "audit", "simulate"}
     assert {case["exit"] for case in CASES} == {0, 1, 2}
+    assert set(HELP) == {"", *verbs}
+
+
+@pytest.mark.parametrize("verb", HELP, ids=[verb or "bayent" for verb in HELP])
+def test_help_text(verb, capsys, monkeypatch):
+    # argparse wraps to COLUMNS, and Python 3.13 breaks the entail usage line
+    # elsewhere than 3.10-3.12, so the words are compared with whitespace collapsed
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([verb, "--help"] if verb else ["--help"]) == 0
+    assert capsys.readouterr().out.split() == HELP[verb].split()
 
 
 def replay(argv, case, capsys, monkeypatch):

@@ -87,6 +87,11 @@ class TestSymbolTable:
         assert len(t) == 3
         assert t.num_valuations == 8
 
+    def test_position_of_an_unknown_atom(self):
+        with pytest.raises(UnknownAtomError, match="^unknown atom 'd'$") as info:
+            SymbolTable(["a", "b", "c"]).position("d")
+        assert info.value.name == "d"
+
     @pytest.mark.parametrize("bad", [["A"], ["1a"], ["a", "a"], [""], []])
     def test_rejects_bad_names(self, bad):
         with pytest.raises(ValueError):

@@ -127,6 +127,16 @@ class TestOrderAndTotality:
     def test_singleton_total(self, ab):
         assert PreferentialStructure(ab, [0], []).is_total()
 
+    def test_world_over_another_table_refused(self, example_structure):
+        world = WorldModel(SymbolTable(["x", "y"]), [Fraction(1, 4)] * 4)
+        with pytest.raises(StructureError, match="^structure and world use different"):
+            example_structure.is_order_preserving(world)
+
+    def test_repr_lists_universe_and_closed_edges(self, ab):
+        s = PreferentialStructure(ab, [2, 0, 1], [(0, 1), (1, 2)])
+        expected = "PreferentialStructure(universe=[0, 1, 2], edges=[(0, 1), (0, 2), (1, 2)])"
+        assert repr(s) == expected
+
 
 class TestSmoothness:
     def test_every_nonmaximal_model_is_dominated(self, example_structure, f):
@@ -136,6 +146,12 @@ class TestSmoothness:
             assert i not in maximal
             assert j in maximal
             assert example_structure.prefers(j, i)
+
+    def test_cycle_has_no_dominating_maximal_model(self, ab, f):
+        # the constructor closes but does not validate: 0 and 1 prefer each other
+        cyclic = PreferentialStructure(ab, [0, 1], [(0, 1), (1, 0)])
+        with pytest.raises(StructureError, match="^smoothness failed at index 0$"):
+            cyclic.dominating_maximal({f("~a")})
 
 
 class TestJson:

@@ -24,6 +24,7 @@ from bayent import (
     uniform_world,
     world_to_dict,
 )
+from bayent.temporal import belief_verdict
 
 
 def brute_force_final_marginal(model, observations):
@@ -80,6 +81,15 @@ class TestModelValidation:
                 [Fraction(1, 2), Fraction(1, 2)],
                 [[Fraction(1, 2), Fraction(1, 4)], [0, 1]],
             )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 0]], [[1, 0], [0, 1], [0, 1]], [[1, 0], [0, 1, 0]], [[1], [1]]],
+        ids=["too few rows", "too many rows", "long row", "short rows"],
+    )
+    def test_transition_must_be_square(self, a_table, rows):
+        with pytest.raises(TemporalError, match="^transition must be 2x2$"):
+            TemporalModel(a_table, [Fraction(1, 2)] * 2, rows)
 
     def test_prior_checked(self, a_table):
         with pytest.raises(TemporalError, match="prior"):
@@ -239,6 +249,22 @@ class TestTemporalEntails:
         assert temporal_entails(model, [], alpha, Fraction(1, 3)).holds
         v = temporal_entails(model, [], alpha, Fraction(1, 3) + Fraction(1, 10**30))
         assert not v.holds and v.probability == Fraction(1, 3)
+
+    def test_verdict_is_bayes_entails_on_the_belief_without_witnesses(self, ab, f):
+        prior = random_world(ab, 5, Fraction(1, 4)).probs
+        model = TemporalModel(ab, prior, sticky_transition(4, Fraction(1, 7)))
+        belief = run_filter(model, [parse_premises(["a | b"], ab)])
+        world = WorldModel(ab, belief.weights)
+        for text in ("a", "~a", "a & b", "b"):
+            for omega in (0, Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), 1):
+                v = belief_verdict(model, belief, f(text), omega)
+                static = bayes_entails(world, (), f(text), omega)
+                assert (v.holds, v.probability, v.vacuous) == (
+                    static.holds,
+                    static.probability,
+                    False,
+                )
+                assert v.witnesses == ()
 
     def test_vacuous_on_dead_belief(self, identity_model, a_table):
         obs = [parse_premises(["a"], a_table), parse_premises(["~a"], a_table)]

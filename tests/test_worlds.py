@@ -504,8 +504,9 @@ def test_ratio_of_digit_strings_is_in_lowest_terms(p, q, k):
 
 @pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-1e4300", "1e101", "-1e-101"])
 def test_errors_name_results_too_long_to_print(text):
-    """A sum or a negative prob of more than 100 digits is reported by its size."""
-    with pytest.raises(WorldError, match=r"(sum to|negative probability) a ratio of \d+-bit"):
+    """A sum or a negative prob of more than 100 digits is reported by its sign and size."""
+    said = "negative probability a negative" if text.startswith("-") else "sum to a"
+    with pytest.raises(WorldError, match=rf"{said} ratio of \d+-bit"):
         world_from_dict(one_symbol_world(text, "0"))
 
 
@@ -515,6 +516,23 @@ def test_int_past_the_digit_limit_is_named_by_its_size(value):
     message = "^cannot parse a 16610-bit int as an exact rational: Exceeds the limit"
     with pytest.raises(WorldError, match=message):
         parse_rational(value)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("x" * 98, repr("x" * 98)),
+        ("x" * 99, "a 99-character str"),
+        (["1"] * 30, "a 150-character list"),
+    ],
+    ids=["98 characters", "99 characters", "list"],
+)
+def test_value_over_100_characters_is_named_by_its_length(value, shown):
+    # past 100 characters of repr(), Fraction's message would quote the value a
+    # second time, or count its digits
+    with pytest.raises(WorldError) as info:
+        parse_rational(value)
+    assert str(info.value).startswith(f"cannot parse {shown} as an exact rational")
 
 
 @pytest.mark.parametrize("value", ["1e100000000", "-1e-5000", "1E+4301", "1e0004301"])
