@@ -24,7 +24,7 @@ from math import comb
 from operator import and_, or_
 from typing import Callable, Optional
 
-from .formula import And, Atom, Bottom, Not, Or, SymbolTable, Top, render, truth_mask
+from .formula import And, Atom, Bottom, Not, Or, SymbolTable, Top, _quoted, render, truth_mask
 from .worlds import WorldModel, _shown, exact
 from .entail import (
     UNIVERSAL,
@@ -175,7 +175,7 @@ def _pick_base(base, model):
         return classical_base(model.table)
     if base == SUPPORT_RELATIVE:
         return support_base(model)
-    raise AuditError(f"unknown monotonic base {base!r}")
+    raise AuditError(f"unknown monotonic base {_quoted(base)}")
 
 
 # --- Formula pools -----------------------------------------------------
@@ -202,9 +202,9 @@ class FormulaPool:
 def enumerate_pool(table, max_depth):
     """All formulas over not/and/or up to the depth bound, one per truth table."""
     if max_depth < 0:
-        raise AuditError(f"max_depth {max_depth} is negative")
+        raise AuditError(f"max_depth {_quoted(max_depth)} is negative")
     if max_depth > MAX_POOL_DEPTH:
-        raise AuditError(f"max_depth {max_depth} exceeds cap {MAX_POOL_DEPTH}")
+        raise AuditError(f"max_depth {_quoted(max_depth)} exceeds cap {MAX_POOL_DEPTH}")
     if len(table) > MAX_POOL_SYMBOLS:
         raise AuditError(f"{len(table)} symbols exceeds cap {MAX_POOL_SYMBOLS}")
 
@@ -300,14 +300,14 @@ def _budgeted_cases(oracle, property_name, pool, premise_size_cap):
     if oracle.table not in (None, pool.table):
         raise AuditError(f"pool is over {pool.table!r}, the oracle over {oracle.table!r}")
     if property_name not in PROPERTY_TABLE:
-        raise AuditError(f"unknown property {property_name!r}")
+        raise AuditError(f"unknown property {_quoted(property_name)}")
     if premise_size_cap < 0:
-        raise AuditError(f"premise cap {premise_size_cap} is negative")
+        raise AuditError(f"premise cap {_quoted(premise_size_cap)} is negative")
     cases = case_count(property_name, len(pool), premise_size_cap)
     if cases > MAX_CASES:
         raise AuditError(
             f"{property_name} over {len(pool)} formulas at premise cap "
-            f"{premise_size_cap} is {cases:,} cases, over the budget of {MAX_CASES:,}"
+            f"{_quoted(premise_size_cap)} is {cases:,} cases, over the budget of {MAX_CASES:,}"
         )
     return cases
 

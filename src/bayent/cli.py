@@ -22,7 +22,7 @@ from .entail import (
     map_entails,
     valuation_rows,
 )
-from .formula import FormulaError, SymbolTable, parse_formula
+from .formula import FormulaError, SymbolTable, _quoted, parse_formula
 from .preferential import StructureError, structure_from_dict
 from .worlds import (
     WorldError,
@@ -44,19 +44,21 @@ class InputError(Exception):
 
 def _read(path, parse, kind, error):
     """parse(fh) on the file at path; read, JSON and `error` errors become InputError."""
+    # a path too long to quote is named by its size, and str(exc) would quote it again
+    name = path if _quoted(path) == repr(path) else _quoted(path)
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {name}: {exc if name is path else exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
+        raise InputError(f"{name} is not valid UTF-8: {exc}") from exc
     except error as exc:
-        raise InputError(f"bad {kind} file {path}: {exc}") from exc
+        raise InputError(f"bad {kind} file {name}: {exc}") from exc
     except ValueError as exc:  # bad JSON syntax, or an int past the digit limit
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{name} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise InputError(f"{path} is nested too deeply") from None
+        raise InputError(f"{name} is nested too deeply") from None
 
 
 def _load_world(path):
@@ -74,7 +76,7 @@ def _parse_symbols(text):
         table = SymbolTable([s.strip() for s in text.split(",") if s.strip()])
         checked_size(table)  # premise masks have 2^n bits, as in a world
     except (ValueError, WorldError) as exc:
-        raise InputError(f"bad symbol list {text!r}: {exc}") from exc
+        raise InputError(f"bad symbol list {_quoted(text)}: {exc}") from exc
     return table
 
 

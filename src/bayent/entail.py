@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .formula import truth_mask
+from .formula import _quoted, truth_mask
 from .worlds import _indices, _shown, exact, premise_mask
 
 UNIVERSAL = "universal"
@@ -149,7 +149,7 @@ def map_entails(model, delta, alpha, mode=UNIVERSAL):
     set where the conclusion is true.
     """
     if mode not in (UNIVERSAL, EXISTENTIAL):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {_quoted(mode)}")
     table = model.table
     winners = map_mask(model, premise_mask(delta, table))
     if winners == 0:

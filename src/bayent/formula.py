@@ -24,6 +24,17 @@ MAX_SYMBOLS = 20
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _quoted(value):
+    """repr(value) for a one-line message; past 100 characters, the value's length
+    and type, and past 100 digits an int's size in bits (repr() may refuse it)."""
+    if type(value) is int and abs(value) >= 10**100:
+        return f"a {value.bit_length()}-bit int"
+    shown = repr(value)
+    if len(shown) > 100:
+        return f"a {len(str(value))}-character {type(value).__name__}"
+    return shown
+
+
 class FormulaError(Exception):
     """Base for all formula-layer errors."""
 
@@ -40,7 +51,7 @@ class UnknownAtomError(FormulaError):
     """An atom not present in the governing symbol table."""
 
     def __init__(self, name):
-        super().__init__(f"unknown atom {name!r}")
+        super().__init__(f"unknown atom {_quoted(name)}")
         self.name = name
 
 
@@ -62,9 +73,9 @@ class SymbolTable:
         seen = set()
         for name in syms:
             if not isinstance(name, str) or not ATOM_RE.fullmatch(name):
-                raise ValueError(f"invalid atom name {name!r}")
+                raise ValueError(f"invalid atom name {_quoted(name)}")
             if name in seen:
-                raise ValueError(f"duplicate atom name {name!r}")
+                raise ValueError(f"duplicate atom name {_quoted(name)}")
             seen.add(name)
         self.symbols = syms
         self._positions = {name: i for i, name in enumerate(syms)}
@@ -125,7 +136,7 @@ class SymbolTable:
         """Valuation index of a {name: 0/1} mapping covering every symbol."""
         missing = [s for s in self.symbols if s not in assignment]
         if missing:
-            raise ValueError(f"assignment missing symbols {missing}")
+            raise ValueError(f"assignment missing symbols {_quoted(missing)}")
         extra = [s for s in assignment if s not in self._positions]
         if extra:
             raise UnknownAtomError(extra[0])
@@ -133,7 +144,7 @@ class SymbolTable:
         for name in self.symbols:
             bit = assignment[name]
             if type(bit) not in (int, bool) or bit not in (0, 1):  # 1.0 == 1
-                raise ValueError(f"truth value for {name!r} must be 0 or 1")
+                raise ValueError(f"truth value for {_quoted(name)} must be 0 or 1")
             index = (index << 1) | int(bit)
         return index
 
@@ -429,7 +440,7 @@ def parse_formula(text, table=None):
             node = leaves.get(tok)
             if node is None:
                 if not ATOM_RE.fullmatch(tok):
-                    raise SyntaxError_(f"unexpected token {tok!r}", _positions(text)[i])
+                    raise SyntaxError_(f"unexpected token {_quoted(tok)}", _positions(text)[i])
                 if table is not None and tok not in table:
                     _positions(text)  # a stray character outranks the atom
                     raise UnknownAtomError(tok)
@@ -438,7 +449,7 @@ def parse_formula(text, table=None):
             cls = _BINARY.get(tok)
             if cls is None and tok != (")" if depth else _END):
                 expected = "expected ')', found" if depth else "unexpected token"
-                raise SyntaxError_(f"{expected} {tok!r}", _positions(text)[i])
+                raise SyntaxError_(f"{expected} {_quoted(tok)}", _positions(text)[i])
             entry = _ENTRY[cls]
             while ops and ops[-1] is not None and _PREC[ops[-1]] >= entry:
                 right = operands.pop()

@@ -9,7 +9,7 @@ be added, so users may write minimal Hasse-style input.
 
 from __future__ import annotations
 
-from .formula import truth_mask
+from .formula import _quoted, truth_mask
 from .worlds import _indices, _mask_of, premise_mask
 
 
@@ -20,29 +20,21 @@ class StructureError(Exception):
 def _close(below):
     """Transitively close the rows of below in place; return each row's indices.
 
-    A row is recomputed, ORing in the rows of the indices it holds, when
-    it or one of those rows grew since the previous pass began, so a pass
-    costs at most one OR per closed edge and the paths a row covers at
-    least double per pass. The loop ends after a pass in which nothing
-    grew; every row's last recomputation then changed nothing, so the
-    index lists it read are those of the closed rows.
+    Each pass ORs into every row the rows of the indices it holds, so the
+    paths a row covers at least double per pass. The loop ends after a
+    pass in which nothing grew; the index lists it read are then those
+    of the closed rows.
     """
-    members = {}
-    recent = sum(1 << i for i in below)
-    while recent:
-        window, fresh = recent, 0
+    grew = True
+    while grew:
+        grew, members = False, {}
         for i, row in below.items():
-            if not ((window >> i) & 1 or row & window):
-                continue
             members[i] = _indices(row)
             reach = row
             for j in members[i]:
                 reach |= below.get(j, 0)
             if reach != row:
-                below[i] = reach
-                window |= 1 << i
-                fresh |= 1 << i
-        recent = fresh
+                below[i], grew = reach, True
     return members
 
 
@@ -60,23 +52,23 @@ class PreferentialStructure:
         # type(), not isinstance(): a JSON true is a bool, and bool subclasses int
         bad = [i for i in universe if type(i) is not int]
         if bad:
-            raise StructureError(f"universe index {bad[0]!r} is not an integer")
+            raise StructureError(f"universe index {_quoted(bad[0])} is not an integer")
         bad = [
             e for e in edges
             if type(e) not in (list, tuple) or list(map(type, e)) != [int, int]
         ]
         if bad:
-            raise StructureError(f"edges must be [i, j] index pairs, not {bad[0]!r}")
+            raise StructureError(f"edges must be [i, j] index pairs, not {_quoted(bad[0])}")
         self.universe = frozenset(universe)
         for i in self.universe:
             if not 0 <= i < table.num_valuations:
-                raise StructureError(f"universe index {i} out of range")
+                raise StructureError(f"universe index {_quoted(i)} out of range")
         self.universe_mask = _mask_of(self.universe, table.num_valuations)
         given = {(a, b) for a, b in edges}
         below = {}
         for a, b in given:
             if a not in self.universe or b not in self.universe:
-                raise StructureError(f"edge ({a},{b}) leaves the universe")
+                raise StructureError(f"edge ({_quoted(a)},{_quoted(b)}) leaves the universe")
             below[a] = below.get(a, 0) | 1 << b
         self.below = below
         members = _close(below)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .formula import FormulaError
+from .formula import FormulaError, _quoted
 from .worlds import (
     WorldError,
     WorldModel,
@@ -214,7 +214,7 @@ def scenario_from_dict(data):
         except (KeyError, TypeError, WorldError) as exc:
             raise TemporalError(f"bad transition matrix: {exc}") from exc
     else:
-        raise TemporalError(f"unknown transition kind {kind!r}")
+        raise TemporalError(f"unknown transition kind {_quoted(kind)}")
 
     model = TemporalModel(table, prior, transition)
     try:

@@ -24,6 +24,7 @@ from .formula import (
     MAX_SYMBOLS,
     FormulaError,
     SymbolTable,
+    _quoted,
     parse_formula,
     truth_mask,
 )
@@ -93,30 +94,21 @@ def _selector(mask):
 def _indices(mask):
     """Indices of the set bits of mask, in increasing order.
 
-    The scan is picked by density, so a sparse mask costs about its set
-    bits, not its width. Under one bit in 256, the mask is read as bytes
-    and find skips the zero bytes in C; over one bit in 8, the indices
-    are compressed against its selector; in between, the binary digits
-    are searched one set bit at a time.
+    The scan is picked by density. Under one set bit in 16, the mask is
+    read as bytes and find skips the zero bytes in C, so a sparse mask
+    costs about its set bits, not its width; otherwise the indices are
+    compressed against its selector.
     """
     count, width = mask.bit_count(), mask.bit_length()
-    if count * 256 < width:
-        data = mask.to_bytes((width + 7) // 8, "little")
-        flags = data.translate(_NONZERO)
-        found = []
-        at = flags.find(1)
-        while at >= 0:
-            found += map((at * 8).__add__, _BYTE_BITS[data[at]])
-            at = flags.find(1, at + 1)
-        return found
-    if count * 8 > width:
+    if count * 16 >= width:
         return list(compress(range(width), _selector(mask)))
-    digits = bin(mask)[:1:-1]
+    data = mask.to_bytes((width + 7) // 8, "little")
+    flags = data.translate(_NONZERO)
     found = []
-    i = digits.find("1")
-    while i >= 0:
-        found.append(i)
-        i = digits.find("1", i + 1)
+    at = flags.find(1)
+    while at >= 0:
+        found += map((at * 8).__add__, _BYTE_BITS[data[at]])
+        at = flags.find(1, at + 1)
     return found
 
 
@@ -282,17 +274,15 @@ def uniform_world(table):
 
 def parse_rational(text):
     """Exact rational from a 'p/q' or decimal string; a float raises WorldError.
-    An error names a value whose repr() is over 100 characters by its length."""
+    An error names a value whose repr() is over 100 characters by its size."""
     if isinstance(text, float):
         raise WorldError(f"cannot parse {text!r} as an exact rational: a float is not exact")
     try:
         return exact(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        # str() refuses an int only past the digit limit, where repr() would too
-        shown = f"a {text.bit_length()}-bit int" if type(text) is int else repr(text)
-        why = f": {exc}"
-        if len(shown) > 100:  # exc would quote it again, or count its digits
-            shown, why = f"a {len(str(text))}-character {type(text).__name__}", ""
+        shown = _quoted(text)
+        # exc would quote a long value again, or count its digits; an int's never does
+        why = f": {exc}" if type(text) is int or shown == repr(text) else ""
         raise WorldError(f"cannot parse {shown} as an exact rational{why}") from exc
 
 
@@ -337,17 +327,17 @@ def world_from_dict(data):
             index = table.index_of(assignment)
             prob = row["prob"]
         except KeyError as exc:
-            raise WorldError(f"world row {row!r} has no {exc} key") from exc
+            raise WorldError(f"world row {_quoted(row)} has no {exc} key") from exc
         except (TypeError, ValueError, FormulaError) as exc:
-            raise WorldError(f"bad world row {row!r}: {exc}") from exc
+            raise WorldError(f"bad world row {_quoted(row)}: {exc}") from exc
         if nums[index] is not None:
-            raise WorldError(f"assignment {assignment} appears twice")
+            raise WorldError(f"assignment {_quoted(assignment)} appears twice")
         value = parse_rational(prob)
         nums[index], dens[index] = value.numerator, value.denominator
     if None in nums:
         missing = [i for i, p in enumerate(nums) if p is None]
         first = table.valuation(missing[0]).assignment()
-        raise WorldError(f"missing {len(missing)} assignments, e.g. {first}")
+        raise WorldError(f"missing {len(missing)} assignments, e.g. {_quoted(first)}")
     return WorldModel.from_weights(table, *_over_lcm(nums, dens))
 
 

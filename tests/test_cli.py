@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -381,6 +382,15 @@ class TestPrefEntail:
         assert line.startswith("error: bad symbol list ")
         assert line.endswith(f": {n} symbols exceeds the enumeration cap of 20")
 
+    @pytest.mark.parametrize(
+        "verb", [["pref-entail", "--conclusion", "a"], ["audit", "--property", "or"]]
+    )
+    def test_universe_index_out_of_range(self, capsys, tmp_path, verb):
+        # a,b has the valuation indices 0-3
+        path = write_json(tmp_path, "structure.json", {"universe": [0, 4], "edges": []})
+        line = run_input_error(capsys, *verb, "--structure", path, "--symbols", "a,b")
+        assert line == f"error: bad structure file {path}: universe index 4 out of range"
+
     def test_holds(self, capsys, structure_file):
         code, out = run(
             capsys,
@@ -563,6 +573,14 @@ class TestAudit:
             capsys, "audit", "--world", world_file, "--omega", "1", "--property", "x"
         )
         assert line == "error: unknown property 'x'"
+
+    def test_no_oracle_source(self, capsys):
+        line = run_input_error(capsys, "audit", "--property", "or")
+        assert line == "error: audit needs either --world or --structure"
+
+    def test_world_without_omega_or_map(self, capsys, world_file):
+        line = run_input_error(capsys, "audit", "--world", world_file, "--property", "or")
+        assert line == "error: audit over a world needs --omega (or --map)"
 
 
 class TestSimulate:
@@ -821,6 +839,97 @@ class TestSimulate:
             ["simulate", "--scenario", str(path), "--conclusion", "a", "--omega", "1"]
         )
         assert code == EXIT_ERROR
+
+
+_LONG = 5000
+_ONE_SYMBOL_WORLD = {
+    "symbols": ["a"],
+    "worlds": [
+        {"assignment": {"a": 0}, "prob": "1/2"},
+        {"assignment": {"a": 1}, "prob": "1/2"},
+    ],
+}
+
+
+def _scenario(transition, observations):
+    return {"prior": _ONE_SYMBOL_WORLD, "transition": transition, "observations": observations}
+
+
+@pytest.mark.parametrize(
+    "body, argv",
+    [
+        (
+            {"symbols": ["a"], "worlds": [{"assignment": {"a": 0, "b" * _LONG: 1}, "prob": "1"}]},
+            ["prob", "--world", "FILE"],
+        ),
+        (_ONE_SYMBOL_WORLD, ["prob", "--world", "FILE", "--premise", "b" * _LONG]),
+        (_ONE_SYMBOL_WORLD, ["prob", "--world", "FILE", "--premise", "a " + "b" * _LONG]),
+        (_ONE_SYMBOL_WORLD, ["prob", "--world", "FILE", "--premise", "(a " + "b" * _LONG]),
+        ({"symbols": ["A" * _LONG], "worlds": []}, ["prob", "--world", "FILE"]),
+        (
+            {"universe": [0], "edges": []},
+            ["pref-entail", "--structure", "FILE", "--symbols", "A" + "b" * _LONG,
+             "--conclusion", "a"],
+        ),
+        (
+            {"universe": [0, 1], "edges": [[0, "x" * _LONG]]},
+            ["pref-entail", "--structure", "FILE", "--symbols", "a", "--conclusion", "a"],
+        ),
+        (
+            {"universe": [10**4000 - 1], "edges": []},
+            ["pref-entail", "--structure", "FILE", "--symbols", "a", "--conclusion", "a"],
+        ),
+        (
+            _scenario({"kind": "x" * _LONG}, []),
+            ["simulate", "--scenario", "FILE", "--conclusion", "a", "--omega", "1/2"],
+        ),
+        (
+            _scenario({"kind": "identity"}, [["b" * _LONG]]),
+            ["simulate", "--scenario", "FILE", "--conclusion", "a", "--omega", "1/2"],
+        ),
+        (
+            _ONE_SYMBOL_WORLD,
+            ["audit", "--world", "FILE", "--omega", "1", "--property", "x" * _LONG],
+        ),
+        (
+            _ONE_SYMBOL_WORLD,
+            ["audit", "--world", "FILE", "--omega", "1", "--property", "or",
+             "--max-depth", "9" * 4000],
+        ),
+        (
+            _ONE_SYMBOL_WORLD,
+            ["audit", "--world", "FILE", "--omega", "1", "--property", "or",
+             "--premise-cap", "-" + "9" * 4000],
+        ),
+        (None, ["prob", "--world", "FILE"]),
+    ],
+    ids=[
+        "world row key",
+        "premise atom",
+        "unexpected token",
+        "expected parenthesis",
+        "world symbol",
+        "symbols argument",
+        "structure edge",
+        "universe entry",
+        "transition kind",
+        "observation atom",
+        "property argument",
+        "max-depth argument",
+        "premise-cap argument",
+        "file path",
+    ],
+)
+def test_long_values_are_named_by_their_size(capsys, tmp_path, body, argv):
+    # each of these lines once quoted the value whole, some twice: 4,000 to 10,000
+    # characters
+    if body is None:
+        path = str(tmp_path / ("p" * _LONG))
+    else:
+        path = write_json(tmp_path, "input.json", body)
+    line = run_input_error(capsys, *[path if a == "FILE" else a for a in argv])
+    assert len(line) < 200
+    assert re.search(r"\ba \d+-(character \w+|bit int)\b", line)
 
 
 @pytest.mark.parametrize(

@@ -857,12 +857,27 @@ def wide_masks(draw):
     return mask
 
 
+def _spread(width, count):
+    """A mask of bit length width with count set bits about evenly spaced."""
+    return sum(1 << (width - 1 - k * width // count) for k in range(count))
+
+
 @given(wide_masks())
 @example(0)
 @example(1)
 @example(1 << 65535)
 @example(1 << (1 << 17))
 @example((1 << 65536) - 1)
+# _indices changes scan at one set bit in 16: at it, and one bit either side
+@example(_spread(128, 7))
+@example(_spread(128, 8))
+@example(_spread(128, 9))
+@example(_spread(1 << 14, (1 << 10) - 1))
+@example(_spread(1 << 14, 1 << 10))
+@example(_spread(1 << 14, (1 << 10) + 1))
+@example(_spread(1 << 16, (1 << 12) - 1))
+@example(_spread(1 << 16, 1 << 12))
+@example(_spread(1 << 16, (1 << 12) + 1))
 def test_indices_equal_brute_force(mask):
     expected = [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
     assert _indices(mask) == expected
