@@ -32,10 +32,8 @@ from .worlds import (
     UNDEFINED,
     WorldError,
     WorldModel,
-    make_world,
     parse_premises,
     parse_rational,
-    premises,
     uniform_world,
     world_from_dict,
     world_from_text,
@@ -54,7 +52,6 @@ from .preferential import (
     PreferentialStructure,
     StructureError,
     structure_from_dict,
-    structure_to_dict,
 )
 from .audit import (
     AuditReport,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import audit as audit_mod
@@ -40,6 +41,22 @@ EXIT_ERROR = 2
 
 class InputError(Exception):
     """User-facing input problem; reported on stderr with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, on one line: argparse quotes an unrecognized or
+    ambiguous option raw, line breaks and all. Subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {' '.join(message.split())}")
+
+
+def _count(text):
+    """int(text) for --max-depth and --premise-cap; a bad value is quoted by _quoted."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
 
 
 def _read(path, parse, kind, error):
@@ -105,7 +122,11 @@ def _emit(build, pretty):
         limit = sys.get_int_max_str_digits()
         raise InputError(f"an exact result has more than {limit} digits to print") from None
     indent, separators = (2, None) if pretty else (None, (",", ":"))
-    print(json.dumps(payload, indent=indent, separators=separators))
+    try:
+        print(json.dumps(payload, indent=indent, separators=separators), flush=True)
+    except OSError as exc:  # fd 1 to devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write the output: {exc.strerror}") from None
 
 
 def _cmd_prob(args):
@@ -187,7 +208,7 @@ def _cmd_simulate(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bayent",
         description="Exact probabilistic and non-monotonic propositional entailment.",
     )
@@ -240,8 +261,8 @@ def build_parser():
         required=True,
         help="one of %s, or theorem-suite" % ", ".join(audit_mod.PROPERTIES),
     )
-    p.add_argument("--max-depth", type=int, default=2)
-    p.add_argument("--premise-cap", type=int, default=1)
+    p.add_argument("--max-depth", type=_count, default=2)
+    p.add_argument("--premise-cap", type=_count, default=1)
     p.add_argument(
         "--base",
         choices=[audit_mod.STRICT, audit_mod.SUPPORT_RELATIVE],
@@ -262,18 +283,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; keep that contract
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         build, holds = args.fn(args)
         _emit(build, args.pretty)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except SystemExit:  # --help, the one exit argparse still takes, after printing
+        return EXIT_YES
     return EXIT_YES if holds else EXIT_NO
 
 

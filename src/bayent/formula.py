@@ -128,10 +128,6 @@ class SymbolTable:
         """All valuations in index order."""
         return [Valuation(self, i) for i in range(self.num_valuations)]
 
-    def valuation_from_assignment(self, assignment):
-        """Build a valuation from a {name: 0/1} mapping covering every symbol."""
-        return Valuation(self, self.index_of(assignment))
-
     def index_of(self, assignment):
         """Valuation index of a {name: 0/1} mapping covering every symbol."""
         missing = [s for s in self.symbols if s not in assignment]
@@ -167,11 +163,6 @@ class Valuation:
 
     def __reduce__(self):
         return Valuation, (self.table, self.index)
-
-    @property
-    def bits(self):
-        n = len(self.table)
-        return tuple((self.index >> (n - 1 - i)) & 1 for i in range(n))
 
     def value(self, name):
         n = len(self.table)

@@ -94,9 +94,6 @@ class PreferentialStructure:
         rows = sorted(self.below.items())
         return [f"irreflexivity: ({i},{i})" for i, row in rows if (row >> i) & 1]
 
-    def prefers(self, i, j):
-        return (i, j) in self.edges
-
     def maximal_mask(self, dmask):
         """Members of dmask in the universe that no other such member is preferred to."""
         d = dmask & self.universe_mask
@@ -117,23 +114,6 @@ class PreferentialStructure:
         """
         maximal = self.maximal_mask(premise_mask(delta, self.table))
         return not maximal & ~truth_mask(alpha, self.table)
-
-    def dominating_maximal(self, delta):
-        """Map each non-maximal model of the premises to a dominating maximal one.
-
-        Constructive smoothness witness; total because the order is a
-        finite strict partial order.
-        """
-        dmask = premise_mask(delta, self.table) & self.universe_mask
-        maximal = self.maximal_mask(dmask)
-        tops = _indices(maximal)
-        out = {}
-        for i in _indices(dmask & ~maximal):
-            dominators = [j for j in tops if (j, i) in self.edges]
-            if not dominators:
-                raise StructureError(f"smoothness failed at index {i}")
-            out[i] = dominators[0]
-        return out
 
     def is_order_preserving(self, model):
         """True iff preference never contradicts probability: v_i above v_j
@@ -179,9 +159,3 @@ def structure_from_dict(data, table):
         raise StructureError("; ".join(violations))
     return structure
 
-
-def structure_to_dict(structure):
-    return {
-        "universe": sorted(structure.universe),
-        "edges": [list(e) for e in sorted(structure.edges)],
-    }

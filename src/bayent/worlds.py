@@ -44,7 +44,7 @@ _PROB = re.compile(r'"prob": "([0-9]+(?:/[0-9]+)?)"\}')
 
 # 10^e has e + 1 digits; int() refuses to read more than 4300 of them from a string
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)")
 _SHOWN_BITS = 332  # 2^332 < 10^100: _shown prints a term of up to 100 digits in full
 
 
@@ -53,12 +53,14 @@ class WorldError(Exception):
 
 
 def exact(value):
-    """value as a Fraction; a float raises TypeError, since 0.3 is not 3/10, and a
-    decimal exponent above MAX_EXPONENT raises ValueError before 10^e is built."""
+    """value as a Fraction; a float raises TypeError, since 0.3 is not 3/10, and a '_'
+    or a decimal exponent above MAX_EXPONENT raises ValueError (before 10^e is built)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not exact; give an int, Fraction or 'p/q'")
+    if isinstance(value, str) and "_" in value:  # Fraction reads '1_0' from Python 3.11 on
+        raise ValueError(f"'_' is not a digit in {_quoted(value)}")
     exponent = None if isinstance(value, int) else _EXPONENT.search(str(value))
     if exponent and int(exponent[1]) > MAX_EXPONENT:
         raise ValueError(f"exponent {exponent[1]} is above {MAX_EXPONENT}")
@@ -71,11 +73,6 @@ def _shown(x):
     if max(num, den) <= _SHOWN_BITS:
         return str(x)
     return f"a {'negative ' if x < 0 else ''}ratio of {num}-bit and {den}-bit ints"
-
-
-def premises(*formulas):
-    """Normalize formulas into a premise set (duplicates removed)."""
-    return frozenset(formulas)
 
 
 def premise_mask(formulas, table):
@@ -215,10 +212,6 @@ class WorldModel:
             and (self.den, self.weights) == (other.den, other.weights)
         )
 
-    def p(self, v):
-        """Probability of a single valuation."""
-        return Fraction(self.weights[v.index], self.den)
-
     def weight(self, mask):
         """Integer weight, over den, of the valuations whose index bits are set."""
         return sum(
@@ -228,11 +221,6 @@ class WorldModel:
     def mass(self, mask):
         """Total probability of the valuations whose index bits are set in mask."""
         return Fraction(self.weight(mask), self.den)
-
-    def models_of(self, delta):
-        """Valuations satisfying every premise (all valuations when empty)."""
-        mask = premise_mask(delta, self.table)
-        return {self.table.valuation(i) for i in _indices(mask)}
 
     def prob(self, delta):
         """Joint probability of a premise set; 1 for the empty set."""
@@ -258,13 +246,6 @@ class WorldModel:
         selector = _selector(dmask).ljust(len(self.weights), b"\0")
         weights = tuple(map(mul, self.weights, selector))
         return WorldModel.from_weights(self.table, weights, kept)
-
-    def support(self):
-        """Valuations with strictly positive probability."""
-        return {self.table.valuation(i) for i in _indices(self.support_mask)}
-
-
-make_world = WorldModel
 
 
 def uniform_world(table):

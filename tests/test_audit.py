@@ -39,6 +39,7 @@ from bayent.worlds import premise_mask
 
 from audit_oracle import old_check_property
 from conftest import EXAMPLE_EDGES
+from test_entail import support
 
 AB = SymbolTable(["a", "b"])
 ABC = SymbolTable(["a", "b", "c"])
@@ -120,7 +121,7 @@ class TestRandomWorld:
     def test_all_zero_collapses_to_point_mass(self, ab):
         w = random_world(ab, 7, 1)
         assert sorted(w.probs, reverse=True)[0] == 1
-        assert len(w.support()) == 1
+        assert len(support(w)) == 1
 
     def test_zero_fraction_above_one_refused(self, ab):
         with pytest.raises(ValueError, match=r"^zero_fraction must lie in \[0, 1\]$"):

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -987,3 +989,55 @@ def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, c
         out = json.loads(capsys.readouterr().out)
         rows.append(len(out["witnesses"] if "witnesses" in out else out["maximal_models"]))
     assert built == [] and rows == [9, 4, 3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["prob"],
+        ["bogus"],
+        ["map-entail", "--world", "w.json", "--conclusion", "a", "--mode", "bogus"],
+        ["prob", "--world", "w.json", "--bogus"],
+        ["prob", "--world", "w.json", "a\nb"],
+        ["prob", "--world", "w.json", "--pr=a\nb"],
+        ["audit", "--property", "or", "--max-depth", "x" * 300],
+        ["audit", "--property", "or", "--premise-cap", "9" * 5000],
+    ],
+    ids=[
+        "no verb",
+        "missing option",
+        "unknown verb",
+        "bad choice",
+        "unrecognized option",
+        "unrecognized argument with a line break",
+        "ambiguous option with a line break",
+        "bad int",
+        "int past the digit limit",
+    ],
+)
+def test_usage_errors_are_one_short_line(capsys, argv):
+    # argparse words these differently across Python versions, so only the shape is pinned
+    assert len(run_input_error(capsys, *argv)) < 200
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("sink", ["full device", "closed pipe"])
+def test_a_failed_write_exits_2_with_one_line(sink):
+    # in a child process: in-process, captured stdout has no file descriptor to fail
+    world = Path(__file__).parent / "data" / "cli_golden" / "world.json"
+    argv = [sys.executable, "-m", "bayent.cli", "prob", "--world", str(world)]
+    if sink == "full device":
+        with open("/dev/full", "w") as out:
+            done = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, text=True)
+        reason = "No space left on device"
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        reason = "Broken pipe"
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr == f"error: cannot write the output: {reason}\n"

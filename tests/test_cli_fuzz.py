@@ -1,4 +1,5 @@
-"""Malformed world, structure and scenario files never crash the CLI.
+"""Malformed world, structure and scenario files and malformed command
+lines never crash the CLI.
 
 Each example writes one file and runs a verb on it in-process. Whatever
 the file holds, the CLI must return 0, 1 or 2; exit 2 must print exactly
@@ -138,6 +139,7 @@ def check(argv, path, text):
     else:
         assert err == ""
         json.loads(out)
+    return code
 
 
 @settings(deadline=None, max_examples=150)
@@ -181,3 +183,46 @@ def test_malformed_scenario_files(path, transition, data):
 @given(exponent_scenarios())
 def test_exponents_in_scenario_files(path, text):
     check(["simulate", "--conclusion", "a", "--omega", "1/2", "--scenario"], path, text)
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# free text for argparse to quote; a leading "-" could spell -h or an abbreviated --help
+free_text = st.text(max_size=300).filter(lambda t: not t.startswith("-"))
+VERBS = ["prob", "entail", "map-entail", "pref-entail", "audit", "simulate"]
+
+
+@st.composite
+def usage_errors(draw):
+    """argv, to which check appends a world file, that argparse refuses: a required
+    option missing, an unknown verb, a bad --mode choice, a count that is no int, or
+    an unrecognized argument or option."""
+    kind = draw(st.sampled_from(["missing", "verb", "choice", "count", "extra"]))
+    if kind == "missing":  # no --world: the file is a premise
+        verb = draw(st.sampled_from(VERBS[:3]))
+        return [verb, "--conclusion", draw(free_text), "--premise"]
+    if kind == "verb":
+        return [draw(free_text.filter(lambda t: t not in VERBS)), "--world"]
+    if kind == "choice":
+        mode = draw(free_text.filter(lambda t: t not in ("universal", "existential")))
+        return ["map-entail", "--conclusion", "a", "--mode", mode, "--world"]
+    if kind == "count":
+        option = draw(st.sampled_from(["--max-depth", "--premise-cap"]))
+        count = draw(free_text.filter(_not_an_int))
+        return ["audit", "--property", "or", "--omega", "1", option, count, "--world"]
+    text = draw(free_text)
+    extra = draw(st.sampled_from([text, "--x" + text]))
+    return draw(st.sampled_from(WORLD_VERBS)) + [extra, "--world"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(usage_errors())
+def test_malformed_command_lines(path, argv):
+    world = json.dumps(world_to_dict(random_world(SymbolTable(["a", "b"]), 7, 0)))
+    assert check(argv, path, world) == EXIT_ERROR

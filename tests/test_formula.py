@@ -100,25 +100,24 @@ class TestSymbolTable:
     def test_first_symbol_is_most_significant(self):
         t = SymbolTable(["a", "b"])
         # index order walks the truth table: (0,0), (0,1), (1,0), (1,1)
-        assert [v.bits for v in t.valuations()] == [
-            (0, 0),
-            (0, 1),
-            (1, 0),
-            (1, 1),
+        assert [v.assignment() for v in t.valuations()] == [
+            {"a": 0, "b": 0},
+            {"a": 0, "b": 1},
+            {"a": 1, "b": 0},
+            {"a": 1, "b": 1},
         ]
 
     def test_assignment_round_trip(self):
         t = SymbolTable(["a", "b"])
-        v = t.valuation_from_assignment({"a": 1, "b": 0})
-        assert v.index == 2
-        assert v.assignment() == {"a": 1, "b": 0}
+        assert t.index_of({"a": 1, "b": 0}) == 2
+        assert t.valuation(2).assignment() == {"a": 1, "b": 0}
 
     def test_assignment_must_cover_all_symbols(self):
         t = SymbolTable(["a", "b"])
         with pytest.raises(ValueError):
-            t.valuation_from_assignment({"a": 1})
+            t.index_of({"a": 1})
         with pytest.raises(UnknownAtomError):
-            t.valuation_from_assignment({"a": 1, "b": 0, "c": 1})
+            t.index_of({"a": 1, "b": 0, "c": 1})
 
 
 class TestParse:

@@ -15,9 +15,9 @@ from bayent import (
     WorldModel,
     evaluate,
     map_entails,
+    map_set,
     pref_oracle,
     structure_from_dict,
-    structure_to_dict,
 )
 from bayent.worlds import _indices, premise_mask
 
@@ -138,25 +138,12 @@ class TestOrderAndTotality:
         assert repr(s) == expected
 
 
-class TestSmoothness:
-    def test_every_nonmaximal_model_is_dominated(self, example_structure, f):
-        dominators = example_structure.dominating_maximal({f("a | b")})
-        maximal = {v.index for v in example_structure.maximal_models({f("a | b")})}
-        for i, j in dominators.items():
-            assert i not in maximal
-            assert j in maximal
-            assert example_structure.prefers(j, i)
-
-    def test_cycle_has_no_dominating_maximal_model(self, ab, f):
-        # the constructor closes but does not validate: 0 and 1 prefer each other
-        cyclic = PreferentialStructure(ab, [0, 1], [(0, 1), (1, 0)])
-        with pytest.raises(StructureError, match="^smoothness failed at index 0$"):
-            cyclic.dominating_maximal({f("~a")})
-
-
 class TestJson:
     def test_round_trip(self, ab, example_structure):
-        data = structure_to_dict(example_structure)
+        data = {
+            "universe": sorted(example_structure.universe),
+            "edges": [list(e) for e in sorted(example_structure.edges)],
+        }
         assert data["universe"] == [0, 1, 2, 3]
         again = structure_from_dict(data, ab)
         assert again.edges == example_structure.edges
@@ -229,6 +216,27 @@ def test_total_order_makes_pref_and_map_coincide(ab):
                 expected = structure.pref_entails(delta, alpha)
                 assert map_entails(model, delta, alpha, UNIVERSAL).holds == expected
                 assert map_entails(model, delta, alpha, EXISTENTIAL).holds == expected
+
+
+def test_induced_ranked_order_matches_map_with_ties_and_zeros():
+    # universal MAP is preferential entailment over the ranked order the
+    # weights induce on the supported valuations; equal weights tie
+    abc = SymbolTable(["a", "b", "c"])
+    deltas, alphas = pool_pairs(abc)
+    tied = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        weights = [rng.randrange(4) for _ in range(abc.num_valuations)]
+        model = WorldModel.from_weights(abc, weights, sum(weights))
+        universe = [i for i, w in enumerate(weights) if w]
+        edges = [(i, j) for i in universe for j in universe if weights[i] > weights[j]]
+        structure = PreferentialStructure(abc, universe, edges)
+        for delta in deltas:
+            for alpha in alphas:
+                verdict = map_entails(model, delta, alpha, UNIVERSAL)
+                assert structure.pref_entails(delta, alpha) == verdict.holds
+                tied += not verdict.vacuous and len(map_set(model, delta)) > 1
+    assert tied > 0
 
 
 # --- bitset order kernel against brute force ---------------------------
