@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .formula import FormulaError, SymbolTable, _quoted, parse_formula
 from .preferential import StructureError, structure_from_dict
 from .worlds import (
     WorldError,
-    checked_size,
     parse_premises,
     parse_rational,
     premise_mask,
@@ -45,10 +45,15 @@ class InputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise InputError, on one line: argparse quotes an unrecognized or
-    ambiguous option raw, line breaks and all. Subparsers inherit the class."""
+    ambiguous option raw, line breaks and all. Past 200 characters, the tail after the
+    last ': ' of the first 100, which quotes the argv refused, is named by its size."""
 
     def error(self, message):
-        raise InputError(f"{self.prog}: {' '.join(message.split())}")
+        line = " ".join(message.split())
+        if len(line) > 200:
+            head, sep, _ = line[:100].rpartition(": ")
+            line = head + sep + _quoted(line[len(head + sep):])
+        raise InputError(f"{self.prog}: {line}")
 
 
 def _count(text):
@@ -90,11 +95,9 @@ def _load_structure(path, table):
 
 def _parse_symbols(text):
     try:
-        table = SymbolTable([s.strip() for s in text.split(",") if s.strip()])
-        checked_size(table)  # premise masks have 2^n bits, as in a world
-    except (ValueError, WorldError) as exc:
+        return SymbolTable([s.strip() for s in text.split(",") if s.strip()])
+    except ValueError as exc:
         raise InputError(f"bad symbol list {_quoted(text)}: {exc}") from exc
-    return table
 
 
 def _parse_omega(text):
@@ -288,7 +291,8 @@ def main(argv=None):
         build, holds = args.fn(args)
         _emit(build, args.pretty)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # an unwritable stderr still exits 2
+            print(f"error: {exc}", file=sys.stderr, flush=True)
         return EXIT_ERROR
     except SystemExit:  # --help, the one exit argparse still takes, after printing
         return EXIT_YES

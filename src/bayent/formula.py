@@ -61,10 +61,11 @@ class SymbolTable:
     The order is fixed at construction and determines the valuation
     encoding: symbols[0] is the most significant bit of a valuation
     index, so index order matches conventional truth-table row order
-    (all-false first, all-true last).
+    (all-false first, all-true last). At most MAX_SYMBOLS names, so every
+    2^n-bit mask, full_mask first, is built within the cap.
     """
 
-    __slots__ = ("symbols", "_positions", "num_valuations", "_full_mask")
+    __slots__ = ("symbols", "_positions", "num_valuations", "full_mask")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -77,17 +78,12 @@ class SymbolTable:
             if name in seen:
                 raise ValueError(f"duplicate atom name {_quoted(name)}")
             seen.add(name)
+        if len(syms) > MAX_SYMBOLS:
+            raise ValueError(f"{len(syms)} symbols exceeds the enumeration cap of {MAX_SYMBOLS}")
         self.symbols = syms
         self._positions = {name: i for i, name in enumerate(syms)}
         self.num_valuations = 1 << len(syms)
-        self._full_mask = None
-
-    @property
-    def full_mask(self):
-        """(1 << 2^n) - 1, built on first read: a table has no size cap of its own."""
-        if self._full_mask is None:
-            self._full_mask = (1 << self.num_valuations) - 1
-        return self._full_mask
+        self.full_mask = (1 << self.num_valuations) - 1
 
     def __len__(self):
         return len(self.symbols)
@@ -277,8 +273,8 @@ def atoms(f):
 def _atom_mask(n, bit):
     """Mask of the indices in [0, 2^n) whose bit `bit` is set.
 
-    Built by doubling one period of the pattern. Cached per (n, bit), so
-    at most n entries per table size.
+    Built by doubling one period of the pattern. Cached per (n, bit): n
+    entries per table size, so at most 210 under the cap of 20 symbols.
     """
     half = 1 << bit
     mask = ((1 << half) - 1) << half

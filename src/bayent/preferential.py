@@ -42,13 +42,17 @@ class PreferentialStructure:
     """Finite strict partial order over a set of valuations.
 
     below[i] is the bitset of the indices v_i is preferred to; an index
-    with no edge out has no row. Immutable after validation; all queries
-    are pure.
+    with no edge out has no row. Closed, a cycle is self-preference at each
+    of its nodes: refused here as "irreflexivity: (i,i)", one per node.
+    Immutable after construction; all queries are pure.
     """
 
     def __init__(self, table, universe, edges):
         self.table = table
-        universe, edges = list(universe), list(edges)
+        try:
+            universe, edges = list(universe), list(edges)
+        except TypeError as exc:
+            raise StructureError(f"'universe' and 'edges' must be lists: {exc}") from exc
         # type(), not isinstance(): a JSON true is a bool, and bool subclasses int
         bad = [i for i in universe if type(i) is not int]
         if bad:
@@ -70,14 +74,13 @@ class PreferentialStructure:
             if a not in self.universe or b not in self.universe:
                 raise StructureError(f"edge ({_quoted(a)},{_quoted(b)}) leaves the universe")
             below[a] = below.get(a, 0) | 1 << b
-        self.below = below
         members = _close(below)
+        loops = [f"irreflexivity: ({i},{i})" for i, row in sorted(below.items()) if row >> i & 1]
+        if loops:
+            raise StructureError("; ".join(loops))
+        self.below = below
         self.edges = frozenset((i, j) for i, js in members.items() for j in js)
         self.added_edges = self.edges - given
-        # a model is maximal unless some *other* model is preferred to it
-        self._dominates = {
-            i: row & ~(1 << i) if (row >> i) & 1 else row for i, row in below.items()
-        }
 
     def __repr__(self):
         return (
@@ -85,21 +88,12 @@ class PreferentialStructure:
             f"edges={sorted(self.edges)})"
         )
 
-    def validate(self):
-        """Irreflexivity violations of the closed order; empty means ok.
-
-        The closure makes every order transitive, so a cycle shows as
-        self-preference at each of its nodes.
-        """
-        rows = sorted(self.below.items())
-        return [f"irreflexivity: ({i},{i})" for i, row in rows if (row >> i) & 1]
-
     def maximal_mask(self, dmask):
         """Members of dmask in the universe that no other such member is preferred to."""
         d = dmask & self.universe_mask
         dominated = 0
         for j in _indices(d):
-            dominated |= self._dominates.get(j, 0)
+            dominated |= self.below.get(j, 0)
         return d & ~dominated
 
     def maximal_models(self, delta):
@@ -149,13 +143,5 @@ def structure_from_dict(data, table):
         raise StructureError(
             f"structure JSON must have 'universe' and 'edges': {exc}"
         ) from exc
-    try:
-        universe, edges = list(universe), list(edges)
-    except TypeError as exc:
-        raise StructureError(f"'universe' and 'edges' must be lists: {exc}") from exc
-    structure = PreferentialStructure(table, universe, edges)
-    violations = structure.validate()
-    if violations:
-        raise StructureError("; ".join(violations))
-    return structure
+    return PreferentialStructure(table, universe, edges)
 

@@ -21,7 +21,6 @@ from operator import add, mul, or_
 
 from .formula import (
     _DIGIT_BITS,
-    MAX_SYMBOLS,
     FormulaError,
     SymbolTable,
     _quoted,
@@ -142,15 +141,6 @@ def _planes(weights):
     return tuple(planes)
 
 
-def checked_size(table):
-    """Number of valuations of table, once it is known to be within the cap."""
-    if len(table) > MAX_SYMBOLS:
-        raise WorldError(
-            f"{len(table)} symbols exceeds the enumeration cap of {MAX_SYMBOLS}"
-        )
-    return table.num_valuations
-
-
 class WorldModel:
     """Distribution p over the valuations of a symbol table.
 
@@ -163,7 +153,6 @@ class WorldModel:
 
     def __init__(self, table, probs):
         """probs: an int, Fraction, Decimal or exact string such as '1/3' per valuation."""
-        checked_size(table)  # before a Fraction per entry of a too-large table
         entries = [exact(p) for p in probs]
         nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
         vars(self).update(vars(WorldModel.from_weights(table, *_over_lcm(nums, dens))))
@@ -176,7 +165,7 @@ class WorldModel:
         gcd(den, *weights) is divided out, so equal models have equal
         (den, weights).
         """
-        size = checked_size(table)
+        size = table.num_valuations
         if len(weights) != size:
             raise WorldError(f"need {size} probabilities, got {len(weights)}")
         if min(weights) < 0:
@@ -249,7 +238,7 @@ class WorldModel:
 
 
 def uniform_world(table):
-    n = checked_size(table)
+    n = table.num_valuations
     return WorldModel.from_weights(table, [1] * n, n)
 
 
@@ -299,7 +288,7 @@ def world_from_dict(data):
         raise WorldError(str(exc)) from exc
     if not isinstance(rows, list):
         raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
-    size = checked_size(table)
+    size = table.num_valuations
     nums = [None] * size
     dens = [1] * size
     for row in rows:
@@ -355,11 +344,10 @@ def _text_model(text):
         return None
     try:  # atom names hold no quote, so the header is exactly '", "'.join(table)
         table = SymbolTable(text[len(_HEAD):end].split('", "'))
-        size = checked_size(table)
-    except (ValueError, WorldError):
+    except ValueError:
         return None
     probs = _PROB.findall(text, end)
-    if len(probs) != size:
+    if len(probs) != table.num_valuations:
         return None
     pairs = [(f'"{name}": 0', f'"{name}": 1') for name in table]
     lows = [", ".join(bits) + '}, "prob": "' for bits in product(*pairs[-_BLOCK_BITS:])]

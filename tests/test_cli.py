@@ -136,6 +136,13 @@ class TestProb:
         line = run_input_error(capsys, "prob", "--world", path)
         assert "'worlds' must be a list" in line
 
+    def test_cap_reported_before_worlds_not_a_list(self, capsys, tmp_path):
+        # the symbol table refuses 21 names before the rows are looked at
+        body = {"symbols": [f"s{i}" for i in range(21)], "worlds": 5}
+        path = write_json(tmp_path, "wide5.json", body)
+        line = run_input_error(capsys, "prob", "--world", path)
+        assert line == f"error: bad world file {path}: 21 symbols exceeds the enumeration cap of 20"
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -1003,6 +1010,11 @@ def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, c
         ["prob", "--world", "w.json", "--pr=a\nb"],
         ["audit", "--property", "or", "--max-depth", "x" * 300],
         ["audit", "--property", "or", "--premise-cap", "9" * 5000],
+        ["map-entail", "--world", "w.json", "--conclusion", "a", "--mode", "m" * 300],
+        ["v" * 300],
+        ["prob", "--world", "w.json", "u" * 300],
+        ["map-entail", "--world", "w.json", "--conclusion", "a", "--mode", " ".join("w" * 1000)],
+        ["prob", "--world", "w.json", *["u"] * 1000],
     ],
     ids=[
         "no verb",
@@ -1014,11 +1026,16 @@ def test_verdict_verbs_emit_witnesses_without_building_valuations(monkeypatch, c
         "ambiguous option with a line break",
         "bad int",
         "int past the digit limit",
+        "300-character choice",
+        "300-character verb",
+        "300-character unrecognized argument",
+        "choice of 1,000 words",
+        "1,000 unrecognized arguments",
     ],
 )
 def test_usage_errors_are_one_short_line(capsys, argv):
     # argparse words these differently across Python versions, so only the shape is pinned
-    assert len(run_input_error(capsys, *argv)) < 200
+    assert len(run_input_error(capsys, *argv).encode()) < 200
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
@@ -1041,3 +1058,13 @@ def test_a_failed_write_exits_2_with_one_line(sink):
         reason = "Broken pipe"
     assert done.returncode == EXIT_ERROR
     assert done.stderr == f"error: cannot write the output: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_an_unwritable_stderr_still_exits_2(tmp_path):
+    # exit 1 would read as a negative verdict
+    argv = [sys.executable, "-m", "bayent.cli", "prob", "--world", str(tmp_path / "nope.json")]
+    with open("/dev/full", "w") as err:
+        done = subprocess.run(argv, stdout=subprocess.PIPE, stderr=err)
+    assert done.returncode == EXIT_ERROR
+    assert done.stdout == b""

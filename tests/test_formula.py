@@ -291,11 +291,13 @@ def test_full_mask_is_built_once_per_table():
         assert truth_mask(Top(), table) is table.full_mask
 
 
-def test_wide_table_builds_no_mask_until_read():
-    # callers check their symbol caps after the table exists; a 2^64-bit
-    # full mask built in __init__ would overflow before any cap is seen
-    table = SymbolTable([f"p{i}" for i in range(64)])
-    assert len(table) == 64 and table.num_valuations == 1 << 64
+def test_symbol_cap():
+    # the cap is checked before any 2^n-bit mask, which at 64 names would overflow
+    for n in (21, 64):
+        with pytest.raises(ValueError) as info:
+            SymbolTable([f"p{i}" for i in range(n)])
+        assert str(info.value) == f"{n} symbols exceeds the enumeration cap of 20"
+    assert SymbolTable([f"p{i}" for i in range(20)]).full_mask == (1 << 2**20) - 1
 
 
 def test_truth_mask_rejects_non_formulas():

@@ -32,17 +32,18 @@ def example_structure(ab):
 
 class TestValidation:
     def test_example_structure_ok(self, example_structure):
-        assert example_structure.validate() == []
+        assert example_structure.below == {0: 0b1110, 2: 0b10, 3: 0b10}
         assert example_structure.added_edges == frozenset()
 
     def test_cycle_reported(self, ab):
-        s = PreferentialStructure(ab, range(4), [(0, 1), (1, 0)])
-        violations = s.validate()
-        assert any("irreflexivity" in v for v in violations)
+        with pytest.raises(StructureError) as info:
+            PreferentialStructure(ab, range(4), [(0, 1), (1, 0)])
+        assert str(info.value) == "irreflexivity: (0,0); irreflexivity: (1,1)"
 
     def test_self_loop_reported(self, ab):
-        s = PreferentialStructure(ab, range(4), [(0, 0)])
-        assert s.validate() == ["irreflexivity: (0,0)"]
+        with pytest.raises(StructureError) as info:
+            PreferentialStructure(ab, range(4), [(0, 0)])
+        assert str(info.value) == "irreflexivity: (0,0)"
 
     def test_closure_reports_added_edges(self, ab):
         s = PreferentialStructure(ab, range(4), [(0, 1), (1, 2)])
@@ -269,12 +270,34 @@ def _brute_maximal(universe, edges, dmask):
 
 
 @st.composite
-def orders(draw):
+def edge_lists(draw):
     """A universe over _TABLE and any edge list inside it: cycles and self-loops too."""
     universe = draw(st.sets(st.integers(0, 7), min_size=1))
     members = sorted(universe)
     pair = st.tuples(st.sampled_from(members), st.sampled_from(members))
     return universe, draw(st.lists(pair, max_size=14))
+
+
+@st.composite
+def orders(draw):
+    """A universe over _TABLE and an acyclic edge list inside it: each drawn pair is
+    oriented from the higher to the lower of its two ranks in a drawn ranking."""
+    universe, edge_list = draw(edge_lists())
+    rank = dict(zip(sorted(universe), draw(st.permutations(range(len(universe))))))
+    return universe, [(a, b) if rank[a] < rank[b] else (b, a) for a, b in edge_list if a != b]
+
+
+@given(edge_lists())
+def test_a_cycle_is_refused_and_an_acyclic_list_builds(case):
+    universe, edge_list = case
+    closed = _brute_closure(set(edge_list))
+    violations = _brute_violations(closed)
+    if violations:
+        with pytest.raises(StructureError) as info:
+            PreferentialStructure(_TABLE, universe, edge_list)
+        assert str(info.value) == "; ".join(violations)
+    else:
+        assert PreferentialStructure(_TABLE, universe, edge_list).edges == closed
 
 
 @given(orders(), st.integers(0, 255), st.lists(formulas(), max_size=2), formulas())
@@ -286,7 +309,7 @@ def test_bitset_order_matches_brute_force(case, dmask, delta_list, alpha):
     closed = _brute_closure(given_edges)
     assert structure.edges == closed
     assert structure.added_edges == closed - given_edges
-    assert structure.validate() == _brute_violations(closed)
+    assert _brute_violations(closed) == []
 
     amask = dmask ^ 0b10110110
     maximal = _brute_maximal(universe, closed, dmask)

@@ -65,11 +65,6 @@ class TestMakeWorld:
         with pytest.raises(TypeError, match="float"):
             WorldModel(SymbolTable(["a"]), probs)
 
-    def test_symbol_cap(self):
-        with pytest.raises(WorldError, match="cap"):
-            t = SymbolTable([f"s{i}" for i in range(21)])
-            WorldModel(t, [1] + [0] * (2**21 - 1))
-
 
 class TestQueries:
     def test_premise_mask(self, ab, f):
@@ -710,6 +705,7 @@ TEXT_PERTURBATIONS = {
     "trailing newline": lambda t, k: t + "\n",
     "trailing spaces": lambda t, k: t + " \t\r\n ",
     "trailing garbage": lambda t, k: t + "x",
+    "key after worlds": lambda t, k: t[:-1] + ', "note": 1}',
     "key order": lambda t, k: _rows_reversed_keys(t),
     "escaped name": lambda t, k: _nth(t, '"p', '"\\u0070', k),
     "escaped key": lambda t, k: _nth(t, '"prob"', '"\\u0070rob"', k),
@@ -734,7 +730,7 @@ TEXT_PASS = {"none", "trailing newline", "trailing spaces", "prob 2/4", "prob le
 SAME_WORLD = {"none", "booleans", "keys reordered", "indent", "compact separators",
               "leading space", "trailing newline", "trailing spaces", "key order",
               "escaped name", "escaped key", "boolean", "duplicate key", "prob 2/4",
-              "prob leading zero"}
+              "prob leading zero", "key after worlds"}
 
 
 @st.composite
@@ -762,6 +758,13 @@ def test_text_pass_agrees_with_the_row_loop(case):
         assert by_text_pass(text) == expected
     if kind in SAME_WORLD:
         assert expected == (model.den, model.weights)
+
+
+def test_text_pass_leaves_a_key_after_the_rows_to_the_row_loop():
+    model = random_world(SymbolTable(["a", "b"]), 3, 0)
+    text = TEXT_PERTURBATIONS["key after worlds"](json.dumps(world_to_dict(model)), 0)
+    assert worlds._text_model(text) is None
+    assert world_from_text(text) == model
 
 
 def _n14_world():
