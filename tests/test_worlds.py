@@ -65,6 +65,16 @@ class TestMakeWorld:
         with pytest.raises(TypeError, match="float"):
             WorldModel(SymbolTable(["a"]), probs)
 
+    def test_symbol_cap(self):
+        # the table refuses 21 names; the loader reports it as a bad world
+        body = {"symbols": [f"s{i}" for i in range(21)], "worlds": []}
+        with pytest.raises(WorldError) as info:
+            world_from_dict(body)
+        assert str(info.value) == "21 symbols exceeds the enumeration cap of 20"
+        with pytest.raises(WorldError) as info:
+            world_from_text(json.dumps(body))
+        assert str(info.value) == "21 symbols exceeds the enumeration cap of 20"
+
 
 class TestQueries:
     def test_premise_mask(self, ab, f):
