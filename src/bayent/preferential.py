@@ -43,7 +43,8 @@ class PreferentialStructure:
 
     below[i] is the bitset of the indices v_i is preferred to; an index
     with no edge out has no row. Closed, a cycle is self-preference at each
-    of its nodes: refused here as "irreflexivity: (i,i)", one per node.
+    of its nodes: refused here as "irreflexivity: (i,i)", one per node for
+    the first 8 nodes, then "and k more".
     Immutable after construction; all queries are pure.
     """
 
@@ -77,7 +78,8 @@ class PreferentialStructure:
         members = _close(below)
         loops = [f"irreflexivity: ({i},{i})" for i, row in sorted(below.items()) if row >> i & 1]
         if loops:
-            raise StructureError("; ".join(loops))
+            more = [f"and {len(loops) - 8:,} more"] if len(loops) > 8 else []
+            raise StructureError("; ".join(loops[:8] + more))
         self.below = below
         self.edges = frozenset((i, j) for i, js in members.items() for j in js)
         self.added_edges = self.edges - given
@@ -117,14 +119,9 @@ class PreferentialStructure:
         return all(model.weights[a] >= model.weights[b] for a, b in self.edges)
 
     def is_total(self):
-        """True iff every distinct pair of universe elements is comparable."""
-        members = sorted(self.universe)
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                a, b = members[x], members[y]
-                if (a, b) not in self.edges and (b, a) not in self.edges:
-                    return False
-        return True
+        """True iff every distinct pair of universe elements is comparable (one edge each)."""
+        n = len(self.universe)
+        return len(self.edges) == n * (n - 1) // 2
 
 
 # --- JSON structure files ----------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, product, repeat
 from math import gcd, lcm
-from operator import add, mul, or_
+from operator import mul, or_
 
 from .formula import (
     _DIGIT_BITS,
@@ -288,9 +288,7 @@ def world_from_dict(data):
         raise WorldError(str(exc)) from exc
     if not isinstance(rows, list):
         raise WorldError(f"'worlds' must be a list of rows, not {type(rows).__name__}")
-    size = table.num_valuations
-    nums = [None] * size
-    dens = [1] * size
+    probs = [None] * table.num_valuations
     for row in rows:
         try:
             assignment = row["assignment"]
@@ -300,15 +298,14 @@ def world_from_dict(data):
             raise WorldError(f"world row {_quoted(row)} has no {exc} key") from exc
         except (TypeError, ValueError, FormulaError) as exc:
             raise WorldError(f"bad world row {_quoted(row)}: {exc}") from exc
-        if nums[index] is not None:
+        if probs[index] is not None:
             raise WorldError(f"assignment {_quoted(assignment)} appears twice")
-        value = parse_rational(prob)
-        nums[index], dens[index] = value.numerator, value.denominator
-    if None in nums:
-        missing = [i for i, p in enumerate(nums) if p is None]
-        first = table.valuation(missing[0]).assignment()
+        probs[index] = parse_rational(prob)
+    if None in probs:
+        missing = [i for i, p in enumerate(probs) if p is None]
+        first = table.assignment(missing[0])
         raise WorldError(f"missing {len(missing)} assignments, e.g. {_quoted(first)}")
-    return WorldModel.from_weights(table, *_over_lcm(nums, dens))
+    return WorldModel(table, probs)
 
 
 def world_to_dict(model):
@@ -328,16 +325,15 @@ def world_from_text(text):
 
 
 _HEAD, _BODY = '{"symbols": ["', '"], "worlds": ['
-_BLOCK_BITS = 8  # the text pass rebuilds 2^8 rows (the last 8 symbols) at a time
 
 
 def _text_model(text):
     """The text pass: the model if json.dump(world_to_dict(model)) wrote text, else None.
 
-    One regex pulls out the 'p' or 'p/q' digit-string probs. The text is
-    rebuilt from the symbols and those probs, rows in index order with 0/1
-    values, and taken only if the two are equal; then json.loads would give
-    exactly that dict, so the model is the row loop's.
+    One regex pulls out the 'p' or 'p/q' digit-string probs, one per row. Each
+    row is rebuilt from the symbols and its prob, in index order with 0/1
+    values, and checked against the text in place; if all match, json.loads
+    would give exactly that dict, so the model is the row loop's.
     """
     end = text.find(_BODY)
     if not text.startswith(_HEAD) or end < 0:
@@ -350,15 +346,12 @@ def _text_model(text):
     if len(probs) != table.num_valuations:
         return None
     pairs = [(f'"{name}": 0', f'"{name}": 1') for name in table]
-    lows = [", ".join(bits) + '}, "prob": "' for bits in product(*pairs[-_BLOCK_BITS:])]
-    pos, step, sep = end + len(_BODY), len(lows), ""
-    for i, high in enumerate(product(*pairs[:-_BLOCK_BITS])):
-        head = '{"assignment": {' + "".join(bit + ", " for bit in high)
-        tails = map(add, probs[i * step:(i + 1) * step], repeat('"}'))
-        block = sep + ", ".join(map(add, map(head.__add__, lows), tails))
-        if not text.startswith(block, pos):
+    pos, sep = end + len(_BODY), ""
+    for bits, prob in zip(product(*pairs), probs):
+        row = sep + '{"assignment": {' + ", ".join(bits) + '}, "prob": "' + prob + '"}'
+        if not text.startswith(row, pos):
             return None
-        pos, sep = pos + len(block), ", "
+        pos, sep = pos + len(row), ", "
     if text[pos:].rstrip(" \t\n\r") != "]}":
         return None
     try:

@@ -400,6 +400,20 @@ class TestPrefEntail:
         line = run_input_error(capsys, *verb, "--structure", path, "--symbols", "a,b")
         assert line == f"error: bad structure file {path}: universe index 4 out of range"
 
+    def test_a_long_cycle_is_refused_on_one_short_line(self, capsys, tmp_path, monkeypatch):
+        # a relative path, so the line's length does not depend on where tmp_path is
+        monkeypatch.chdir(tmp_path)
+        edges = [[i, (i + 1) % 1024] for i in range(1024)]
+        write_json(tmp_path, "cycle.json", {"universe": list(range(1024)), "edges": edges})
+        symbols = ",".join(f"p{i}" for i in range(10))
+        line = run_input_error(
+            capsys, "pref-entail", "--structure", "cycle.json", "--symbols", symbols,
+            "--conclusion", "p0",
+        )
+        assert len(line.encode()) < 300
+        assert line.startswith("error: bad structure file cycle.json: irreflexivity: (0,0); ")
+        assert line.endswith("; irreflexivity: (7,7); and 1,016 more")
+
     def test_holds(self, capsys, structure_file):
         code, out = run(
             capsys,

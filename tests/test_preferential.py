@@ -300,6 +300,33 @@ def test_a_cycle_is_refused_and_an_acyclic_list_builds(case):
         assert PreferentialStructure(_TABLE, universe, edge_list).edges == closed
 
 
+@pytest.mark.parametrize("size, tail", [(8, ""), (9, "; and 1 more"), (1024, "; and 1,016 more")])
+def test_a_long_cycle_is_named_by_its_first_8_nodes_and_a_count(size, tail):
+    table = SymbolTable([f"p{i}" for i in range(10)])
+    with pytest.raises(StructureError) as info:
+        PreferentialStructure(table, range(size), [(i, (i + 1) % size) for i in range(size)])
+    named = "; ".join(f"irreflexivity: ({i},{i})" for i in range(8))
+    assert str(info.value) == named + tail
+
+
+@given(orders())
+def test_is_total_equals_brute_force(case):
+    universe, edge_list = case
+    structure = PreferentialStructure(_TABLE, universe, edge_list)
+    edges = structure.edges
+    comparable = all(
+        (a, b) in edges or (b, a) in edges for a in universe for b in universe if a < b
+    )
+    assert structure.is_total() == comparable
+
+
+@given(st.sets(st.integers(0, 7), min_size=1), st.data())
+def test_a_total_ranking_is_total(universe, data):
+    ranked = data.draw(st.permutations(sorted(universe)))
+    edges = [(a, b) for x, a in enumerate(ranked) for b in ranked[x + 1:]]
+    assert PreferentialStructure(_TABLE, universe, edges).is_total()
+
+
 @given(orders(), st.integers(0, 255), st.lists(formulas(), max_size=2), formulas())
 def test_bitset_order_matches_brute_force(case, dmask, delta_list, alpha):
     universe, edge_list = case

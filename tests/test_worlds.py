@@ -777,6 +777,25 @@ def test_text_pass_leaves_a_key_after_the_rows_to_the_row_loop():
     assert world_from_text(text) == model
 
 
+def test_text_pass_refuses_a_text_one_row_short():
+    # the rows it has match the rebuilt ones, so only the count check refuses it
+    text = json.dumps({"symbols": ["p0"], "worlds": [{"assignment": {"p0": 0}, "prob": "1"}]})
+    assert worlds._text_model(text) is None
+    with pytest.raises(WorldError) as info:
+        world_from_text(text)
+    assert str(info.value) == "missing 1 assignments, e.g. {'p0': 1}"
+
+
+def test_text_pass_refuses_a_text_with_its_last_row_repeated():
+    data = world_to_dict(random_world(SymbolTable(["a", "b"]), 3, 0))
+    data["worlds"].append(data["worlds"][-1])
+    text = json.dumps(data)
+    assert worlds._text_model(text) is None
+    with pytest.raises(WorldError) as info:
+        world_from_text(text)
+    assert str(info.value) == "assignment {'a': 1, 'b': 1} appears twice"
+
+
 def _n14_world():
     """2^14 rows in index order with probs 'w/total', w <= 8: the form the
     benchmark writes, as a dict, and the model it holds."""
@@ -812,7 +831,7 @@ def test_row_loop_stays_within_two_mib_at_n14():
 
 
 def test_text_pass_peak_at_n14_is_below_json_loads():
-    """The text pass holds the probs and one block of rows, not a dict per row:
+    """The text pass holds the probs and one row of text, not a dict per row:
     about 3 MiB, against 12 MiB for json.loads and world_from_dict. The file
     text itself is made before tracing starts."""
     data, expected = _n14_world()
