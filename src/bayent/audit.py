@@ -9,7 +9,7 @@ Each property is one entry of PROPERTY_TABLE, read twice. The search
 works on relation rows: row(d) is the bitset over pool positions j of
 the oracle's mask-level query from premise mask d to pool[j], so one
 big-int AND tests a whole column of cases. A counterexample is then
-re-checked from the same entry through the oracle's formula-level query
+re-checked from the same entry, literal by literal from its formulas,
 before being reported.
 """
 
@@ -25,15 +25,8 @@ from operator import and_, or_
 from typing import Callable, Optional
 
 from .formula import And, Atom, Bottom, Not, Or, SymbolTable, Top, _quoted, render, truth_mask
-from .worlds import WorldModel, _shown, exact
-from .entail import (
-    UNIVERSAL,
-    bayes_entails,
-    check_threshold,
-    classical_entails,
-    map_entails,
-    map_mask,
-)
+from .worlds import WorldModel, _shown, exact, premise_mask
+from .entail import UNIVERSAL, check_mode, check_threshold, map_mask
 
 STRICT = "strict"
 SUPPORT_RELATIVE = "support-relative"
@@ -56,47 +49,38 @@ class AuditError(Exception):
 
 @dataclass
 class ConsequenceOracle:
-    """A consequence relation as a total, deterministic query.
+    """A consequence relation as a total, deterministic query over table.
 
-    query judges the relation under audit; monotonic_base is the
+    mask_query judges the relation under audit and mask_base the
     monotonic relation used inside the Classical properties and
-    Supraclassicality. mask_query/mask_base are the same relations over
-    satisfying-set bitmasks; trace returns the probabilities behind one
-    query for counterexample reports. A pool must be over table, if given.
+    Supraclassicality, both over satisfying-set bitmasks of table; a
+    pool must be over table. query and monotonic_base compile formulas
+    to those masks. trace returns the probabilities behind one query
+    for counterexample reports.
     """
 
     label: str
-    query: Callable
-    monotonic_base: Callable
+    table: SymbolTable
     mask_query: Callable
     mask_base: Callable
     trace: Optional[Callable] = None
-    table: Optional[SymbolTable] = None
+
+    def query(self, delta, alpha):
+        return self.mask_query(premise_mask(delta, self.table), truth_mask(alpha, self.table))
+
+    def monotonic_base(self, delta, alpha):
+        return self.mask_base(premise_mask(delta, self.table), truth_mask(alpha, self.table))
 
 
 def classical_base(table):
     """Strict monotonic base: plain propositional entailment."""
     full = table.full_mask
-
-    def base(delta, alpha):
-        return classical_entails(table, delta, alpha)
-
-    def mask_base(dmask, amask):
-        return dmask & full & ~amask == 0
-
-    return base, mask_base
+    return lambda dmask, amask: dmask & full & ~amask == 0
 
 
 def support_base(model):
     """Support-relative monotonic base: threshold-1 entailment over the model."""
-
-    def base(delta, alpha):
-        return bayes_entails(model, delta, alpha, 1).holds
-
-    def mask_base(dmask, amask):
-        return dmask & model.support_mask & ~amask == 0
-
-    return base, mask_base
+    return lambda dmask, amask: dmask & model.support_mask & ~amask == 0
 
 
 def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
@@ -104,9 +88,6 @@ def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
     w = check_threshold(omega)
     p, q = w.numerator, w.denominator
     weight = lru_cache(MEMO_SIZE)(model.weight)
-
-    def query(delta, alpha):
-        return bayes_entails(model, delta, alpha, w).holds
 
     def mask_query(dmask, amask):
         # p(alpha | delta) >= w = p/q, cross-multiplied over the integer weights
@@ -122,18 +103,14 @@ def bayes_oracle(model, omega, base=SUPPORT_RELATIVE):
             "threshold": str(w),
         }
 
-    base_fn, base_mask = _pick_base(base, model)
-    return ConsequenceOracle(
-        f"threshold-{w}", query, base_fn, mask_query, base_mask, trace, model.table
-    )
+    base_mask = _pick_base(base, model)
+    return ConsequenceOracle(f"threshold-{w}", model.table, mask_query, base_mask, trace)
 
 
 def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
     """Oracle for the MAP entailment of a world model."""
+    check_mode(mode)
     map_of = lru_cache(MEMO_SIZE)(partial(map_mask, model))
-
-    def query(delta, alpha):
-        return map_entails(model, delta, alpha, mode).holds
 
     def mask_query(dmask, amask):
         winners = map_of(dmask)
@@ -142,32 +119,24 @@ def map_oracle(model, mode=UNIVERSAL, base=SUPPORT_RELATIVE):
         hit = winners & amask
         return hit == winners if mode == UNIVERSAL else hit != 0
 
-    base_fn, base_mask = _pick_base(base, model)
-    return ConsequenceOracle(
-        f"map-{mode}", query, base_fn, mask_query, base_mask, table=model.table
-    )
+    return ConsequenceOracle(f"map-{mode}", model.table, mask_query, _pick_base(base, model))
 
 
 def pref_oracle(structure):
     """Oracle for the preferential entailment of a structure."""
     maximal = lru_cache(MEMO_SIZE)(structure.maximal_mask)
 
-    def query(delta, alpha):
-        return structure.pref_entails(delta, alpha)
-
     def mask_query(dmask, amask):
         return not maximal(dmask) & ~amask
 
-    base_fn, base_mask = classical_base(structure.table)
-    return ConsequenceOracle(
-        "preferential", query, base_fn, mask_query, base_mask, table=structure.table
-    )
+    table = structure.table
+    return ConsequenceOracle("preferential", table, mask_query, classical_base(table))
 
 
 def classical_oracle(table):
     """The propositional entailment itself, as an oracle."""
-    base_fn, base_mask = classical_base(table)
-    return ConsequenceOracle("classical", base_fn, base_fn, base_mask, base_mask, table=table)
+    base = classical_base(table)
+    return ConsequenceOracle("classical", table, base, base)
 
 
 def _pick_base(base, model):
@@ -297,7 +266,7 @@ def case_count(property_name, pool_size, premise_size_cap=1):
 
 
 def _budgeted_cases(oracle, property_name, pool, premise_size_cap):
-    if oracle.table not in (None, pool.table):
+    if oracle.table != pool.table:
         raise AuditError(f"pool is over {pool.table!r}, the oracle over {oracle.table!r}")
     if property_name not in PROPERTY_TABLE:
         raise AuditError(f"unknown property {_quoted(property_name)}")

@@ -26,6 +26,12 @@ def check_threshold(omega):
     return w
 
 
+def check_mode(mode):
+    """Validate a MAP mode: UNIVERSAL or EXISTENTIAL."""
+    if mode not in (UNIVERSAL, EXISTENTIAL):
+        raise ValueError(f"unknown mode {_quoted(mode)}")
+
+
 def valuation_rows(table, mask):
     """JSON rows {"index", "assignment"} of the set bits of mask, in index order."""
     return [{"index": i, "assignment": table.assignment(i)} for i in _indices(mask)]
@@ -148,8 +154,7 @@ def map_entails(model, delta, alpha, mode=UNIVERSAL):
     are the MAP set. The reported probability is the share of the MAP
     set where the conclusion is true.
     """
-    if mode not in (UNIVERSAL, EXISTENTIAL):
-        raise ValueError(f"unknown mode {_quoted(mode)}")
+    check_mode(mode)
     table = model.table
     winners = map_mask(model, premise_mask(delta, table))
     if winners == 0:

@@ -154,8 +154,9 @@ class WorldModel:
     def __init__(self, table, probs):
         """probs: an int, Fraction, Decimal or exact string such as '1/3' per valuation."""
         entries = [exact(p) for p in probs]
-        nums, dens = [p.numerator for p in entries], [p.denominator for p in entries]
-        vars(self).update(vars(WorldModel.from_weights(table, *_over_lcm(nums, dens))))
+        den = lcm(*(p.denominator for p in entries))
+        weights = tuple(p.numerator * (den // p.denominator) for p in entries)
+        vars(self).update(vars(WorldModel.from_weights(table, weights, den)))
 
     @classmethod
     def from_weights(cls, table, weights, den):
@@ -254,12 +255,6 @@ def parse_rational(text):
         # exc would quote a long value again, or count its digits; an int's never does
         why = f": {exc}" if type(text) is int or shown == repr(text) else ""
         raise WorldError(f"cannot parse {shown} as an exact rational{why}") from exc
-
-
-def _over_lcm(nums, dens):
-    """(weights, den): the ratios nums[i] / dens[i] over the lcm of dens."""
-    den = lcm(*dens)
-    return tuple(p * (den // q) for p, q in zip(nums, dens)), den
 
 
 # --- JSON world files --------------------------------------------------
@@ -361,7 +356,9 @@ def _text_model(text):
     nums, dens = terms[::2], terms[1::2]
     if 0 in dens:  # the row loop refuses 'p/0'
         return None
-    return WorldModel.from_weights(table, *_over_lcm(nums, dens))
+    den = lcm(*dens)
+    weights = tuple(p * (den // q) for p, q in zip(nums, dens))
+    return WorldModel.from_weights(table, weights, den)
 
 
 def parse_premises(texts, table):

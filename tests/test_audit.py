@@ -1,5 +1,7 @@
+import random
 import time
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,14 @@ from bayent import (
     PreferentialStructure,
     SymbolTable,
     WorldModel,
+    bayes_entails,
     bayes_oracle,
     check_property,
+    classical_entails,
     classical_oracle,
     cut_counterexample_world,
     enumerate_pool,
+    map_entails,
     map_oracle,
     monotony_counterexample_world,
     parse_formula,
@@ -34,8 +39,8 @@ from bayent.audit import (
     case_count,
     classical_base,
 )
+from bayent.entail import EXISTENTIAL, UNIVERSAL
 from bayent.formula import truth_mask
-from bayent.worlds import premise_mask
 
 from audit_oracle import old_check_property
 from conftest import EXAMPLE_EDGES
@@ -235,12 +240,21 @@ class TestMargins:
 
 def test_oracle_needs_mask_level_queries():
     with pytest.raises(TypeError):
-        ConsequenceOracle("bare", lambda d, a: True, lambda d, a: True)
+        ConsequenceOracle("bare", AB, lambda d, a: True)
 
 
 def test_unknown_base_refused(ab):
     with pytest.raises(AuditError, match="^unknown monotonic base 'bogus'$"):
         bayes_oracle(random_world(ab, 1), Fraction(3, 5), base="bogus")
+
+
+def test_unknown_map_mode_refused_before_any_check(ab):
+    # any mode but universal would otherwise read as existential
+    model = random_world(ab, 3, 0)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        map_oracle(model, "bogus")
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        map_entails(model, (), parse_formula("a", ab), "bogus")
 
 
 # --- Oracle and pool over one table --------------------------------------
@@ -274,7 +288,7 @@ def test_pool_over_other_names_refused_before_any_query():
     pool = enumerate_pool(AB, 1)
     for oracle in (
         map_oracle(WorldModel(xy, [Fraction(1, 4)] * 4)),
-        ConsequenceOracle("xy", never, never, never, never, table=xy),
+        ConsequenceOracle("xy", xy, never, never),
     ):
         with pytest.raises(AuditError, match="^pool is over"):
             check_property(oracle, "cut", pool)
@@ -282,12 +296,35 @@ def test_pool_over_other_names_refused_before_any_query():
             theorem_suite(oracle, pool)
 
 
-def test_hand_built_oracle_without_a_table_still_runs():
-    base, mask_base = classical_base(AB)
-    oracle = ConsequenceOracle("classical", base, base, mask_base, mask_base)
-    assert oracle.table is None
-    report = check_property(oracle, "cut", enumerate_pool(AB, 1))
-    assert report.verdict == "pass"
+# --- Each mask-level relation against its engine --------------------------
+
+
+@pytest.mark.parametrize("table,depth", [(AB, 2), (ABC, 1)])
+def test_each_relation_is_its_engine(table, depth):
+    pool = enumerate_pool(table, depth)
+    premises = [((), table.full_mask)]
+    premises += [((f,), m) for f, m in zip(pool.formulas, pool.truth_masks)]
+    for seed in range(4):
+        model = random_world(table, seed, Fraction(1, 4))
+        rng = random.Random(seed)
+        universe = [i for i in range(table.num_valuations) if model.weights[i]]
+        edges = [e for e in combinations(universe, 2) if rng.random() < 1 / 3]
+        structure = PreferentialStructure(table, universe, edges)
+        thresholds = {w: bayes_oracle(model, w) for w in (Fraction(3, 5), Fraction(9, 10), 1)}
+        maps = {mode: map_oracle(model, mode) for mode in (UNIVERSAL, EXISTENTIAL)}
+        strict, pref = bayes_oracle(model, 1, STRICT), pref_oracle(structure)
+        conclusions = list(zip(pool.formulas, pool.truth_masks))
+        for (delta, dmask), (alpha, amask) in product(premises, conclusions):
+            for w, oracle in thresholds.items():
+                holds = bayes_entails(model, delta, alpha, w).holds
+                assert oracle.mask_query(dmask, amask) == holds
+            for mode, oracle in maps.items():
+                holds = map_entails(model, delta, alpha, mode).holds
+                assert oracle.mask_query(dmask, amask) == holds
+            holds = bayes_entails(model, delta, alpha, 1).holds
+            assert thresholds[1].mask_base(dmask, amask) == holds
+            assert strict.mask_base(dmask, amask) == classical_entails(table, delta, alpha)
+            assert pref.mask_query(dmask, amask) == structure.pref_entails(delta, alpha)
 
 
 # --- Differential test against the earlier per-property loops ---------
@@ -307,11 +344,7 @@ def oracles(draw, table):
         def mask_query(dmask, amask):
             return hash((seed, dmask, amask)) % 8 != 0
 
-        def query(delta, alpha):
-            return mask_query(premise_mask(delta, table), truth_mask(alpha, table))
-
-        base, mask_base = classical_base(table)
-        return ConsequenceOracle("arbitrary", query, base, mask_query, mask_base)
+        return ConsequenceOracle("arbitrary", table, mask_query, classical_base(table))
     if kind == "pref":
         universe = draw(st.sets(st.integers(0, size - 1), min_size=1))
         pairs = [(i, j) for i in sorted(universe) for j in sorted(universe) if i < j]
@@ -344,7 +377,7 @@ def test_reports_match_the_earlier_loops(data):
 
 def test_suite_weighs_each_premise_mask_once(monkeypatch):
     # the search weighs at most one mask per distinct premise mask; the
-    # formula-level replay of each counterexample goes through the engine
+    # replay of each counterexample goes through the oracle's memo too
     weigh = WorldModel.weight
     replay = audit._replay
     calls = {"search": 0, "replay": 0}
