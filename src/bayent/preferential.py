@@ -3,8 +3,7 @@
 An edge (v_i, v_j) means v_i is preferred to v_j (the v_i world is the
 more normal one). The order is kept as one bitset per node: bit j of
 below[i] is set iff v_i is preferred to v_j. Structures are transitively
-closed at construction; the closure report lists any edges that had to
-be added, so users may write minimal Hasse-style input.
+closed at construction, so users may write minimal Hasse-style input.
 """
 
 from __future__ import annotations
@@ -18,24 +17,21 @@ class StructureError(Exception):
 
 
 def _close(below):
-    """Transitively close the rows of below in place; return each row's indices.
+    """Transitively close the rows of below in place.
 
     Each pass ORs into every row the rows of the indices it holds, so the
     paths a row covers at least double per pass. The loop ends after a
-    pass in which nothing grew; the index lists it read are then those
-    of the closed rows.
+    pass in which nothing grew.
     """
     grew = True
     while grew:
-        grew, members = False, {}
+        grew = False
         for i, row in below.items():
-            members[i] = _indices(row)
             reach = row
-            for j in members[i]:
+            for j in _indices(row):
                 reach |= below.get(j, 0)
             if reach != row:
                 below[i], grew = reach, True
-    return members
 
 
 class PreferentialStructure:
@@ -64,25 +60,27 @@ class PreferentialStructure:
         ]
         if bad:
             raise StructureError(f"edges must be [i, j] index pairs, not {_quoted(bad[0])}")
-        self.universe = frozenset(universe)
-        for i in self.universe:
+        for i in universe:
             if not 0 <= i < table.num_valuations:
                 raise StructureError(f"universe index {_quoted(i)} out of range")
+        self.universe = frozenset(universe)
         self.universe_mask = _mask_of(self.universe, table.num_valuations)
-        given = {(a, b) for a, b in edges}
         below = {}
-        for a, b in given:
+        for a, b in edges:
             if a not in self.universe or b not in self.universe:
                 raise StructureError(f"edge ({_quoted(a)},{_quoted(b)}) leaves the universe")
             below[a] = below.get(a, 0) | 1 << b
-        members = _close(below)
+        _close(below)
         loops = [f"irreflexivity: ({i},{i})" for i, row in sorted(below.items()) if row >> i & 1]
         if loops:
             more = [f"and {len(loops) - 8:,} more"] if len(loops) > 8 else []
             raise StructureError("; ".join(loops[:8] + more))
         self.below = below
-        self.edges = frozenset((i, j) for i, js in members.items() for j in js)
-        self.added_edges = self.edges - given
+
+    @property
+    def edges(self):
+        """The closed order's (i, j) pairs, listed from the rows on each read."""
+        return frozenset((i, j) for i, row in self.below.items() for j in _indices(row))
 
     def __repr__(self):
         return (
@@ -121,7 +119,7 @@ class PreferentialStructure:
     def is_total(self):
         """True iff every distinct pair of universe elements is comparable (one edge each)."""
         n = len(self.universe)
-        return len(self.edges) == n * (n - 1) // 2
+        return sum(map(int.bit_count, self.below.values())) == n * (n - 1) // 2
 
 
 # --- JSON structure files ----------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,6 @@ def example_structure(ab):
 class TestValidation:
     def test_example_structure_ok(self, example_structure):
         assert example_structure.below == {0: 0b1110, 2: 0b10, 3: 0b10}
-        assert example_structure.added_edges == frozenset()
 
     def test_cycle_reported(self, ab):
         with pytest.raises(StructureError) as info:
@@ -45,13 +45,21 @@ class TestValidation:
             PreferentialStructure(ab, range(4), [(0, 0)])
         assert str(info.value) == "irreflexivity: (0,0)"
 
-    def test_closure_reports_added_edges(self, ab):
-        s = PreferentialStructure(ab, range(4), [(0, 1), (1, 2)])
-        assert s.added_edges == frozenset({(0, 2)})
-
     def test_edges_must_stay_in_universe(self, ab):
         with pytest.raises(StructureError):
             PreferentialStructure(ab, [0, 1], [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "symbols, universe, edges, message",
+        [
+            ("ab", [5, 9], [], "universe index 5 out of range"),
+            ("abc", range(5), [[5, 6], [0, 7]], "edge (5,6) leaves the universe"),
+        ],
+    )
+    def test_first_bad_entry_in_input_order_is_reported(self, symbols, universe, edges, message):
+        with pytest.raises(StructureError) as info:
+            PreferentialStructure(SymbolTable(list(symbols)), universe, edges)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "universe, edges, message",
@@ -309,6 +317,20 @@ def test_a_long_cycle_is_named_by_its_first_8_nodes_and_a_count(size, tail):
     assert str(info.value) == named + tail
 
 
+@given(edge_lists(), st.data())
+def test_edge_order_and_repeats_do_not_change_the_order(case, data):
+    universe, edge_list = case
+    repeats = data.draw(st.lists(st.sampled_from(edge_list), max_size=4)) if edge_list else []
+    shuffled = data.draw(st.permutations(edge_list + repeats))
+    built = []
+    for edges in (edge_list, shuffled):
+        try:
+            built.append(PreferentialStructure(_TABLE, universe, edges).below)
+        except StructureError as exc:
+            built.append(str(exc))
+    assert built[0] == built[1]
+
+
 @given(orders())
 def test_is_total_equals_brute_force(case):
     universe, edge_list = case
@@ -335,7 +357,6 @@ def test_bitset_order_matches_brute_force(case, dmask, delta_list, alpha):
 
     closed = _brute_closure(given_edges)
     assert structure.edges == closed
-    assert structure.added_edges == closed - given_edges
     assert _brute_violations(closed) == []
 
     amask = dmask ^ 0b10110110
@@ -359,3 +380,17 @@ def test_long_chain_in_a_full_n16_universe_closes_fast():
     elapsed = time.perf_counter() - start
     assert len(structure.edges) == 201 * 200 // 2
     assert elapsed < 1.0
+
+
+def test_a_256_node_chain_is_held_as_its_rows():
+    """The closed chain has 32,640 pairs; held as 256 rows it peaks far below 1 MiB."""
+    table = SymbolTable([f"p{i}" for i in range(9)])
+    tracemalloc.start()
+    try:
+        structure = PreferentialStructure(table, range(256), [(i, i + 1) for i in range(255)])
+        assert structure.is_total()
+        assert structure.maximal_mask(table.full_mask) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
